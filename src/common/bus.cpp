@@ -12,11 +12,12 @@ std::string to_string(const BusRecord& r) {
   return os.str();
 }
 
-TraceDivergence OffCoreTrace::compare_writes(const OffCoreTrace& golden) const {
+TraceDivergence OffCoreTrace::compare_writes(const OffCoreTrace& golden,
+                                             std::size_t from) const {
   const auto& mine = writes_;
   const auto& ref = golden.writes_;
   const std::size_t n = std::min(mine.size(), ref.size());
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::size_t i = from; i < n; ++i) {
     if (!mine[i].same_payload(ref[i])) {
       return {true, i, mine[i].cycle,
               "write mismatch at index " + std::to_string(i) + ": got " +

@@ -79,8 +79,10 @@ class OffCoreTrace {
 
   /// Compare this (faulty) trace's writes against a golden trace's writes.
   /// Order, address, size and value must all match; a shorter sequence is a
-  /// divergence at the truncation point.
-  TraceDivergence compare_writes(const OffCoreTrace& golden) const;
+  /// divergence at the truncation point. The first `from` writes are known
+  /// to match (a restored golden prefix) and are not compared again.
+  TraceDivergence compare_writes(const OffCoreTrace& golden,
+                                 std::size_t from = 0) const;
 
  private:
   std::vector<BusRecord> writes_;

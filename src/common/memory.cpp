@@ -139,22 +139,6 @@ bool page_is_zero(const std::array<u8, Memory::kPageSize>& page) {
 }
 }  // namespace
 
-Memory Memory::fork_detached() const {
-  Memory out;  // fresh caches, fresh revision
-  out.pages_.reserve(pages_.size());
-  for (const auto& [idx, page] : pages_) {
-    if (page.use_count() == 1) {
-      out.pages_.emplace(idx, std::make_shared<Page>(*page));
-    } else {
-      // Shared with an immutable ancestor: page_for_write_slow can only
-      // mutate a page in place at use_count() == 1, which this extra
-      // reference (plus the ancestor's) permanently rules out.
-      out.pages_.emplace(idx, page);
-    }
-  }
-  return out;
-}
-
 bool Memory::equals(const Memory& other) const {
   for (const auto& [idx, page] : pages_) {
     const auto it = other.pages_.find(idx);

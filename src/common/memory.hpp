@@ -130,18 +130,6 @@ class Memory {
   ///    page cache); clone first, reads on the clone are free anyway.
   Memory clone() const { return *this; }
 
-  /// Cross-thread-safe snapshot for the staged pipeline's prefetch stage.
-  /// clone() is single-thread COW: both images may later unshare a page "in
-  /// place" when its use_count drops back to 1, which is a data race once
-  /// the clone lives on another thread. fork_detached() instead deep-copies
-  /// every page private to this image and shares only pages still pinned by
-  /// an older image (campaign-lifetime ancestors — the initial/golden
-  /// images and ladder rungs — which keep use_count >= 2 for as long as the
-  /// fork can live, so no writer can ever unshare them in place). Publish
-  /// the result through a synchronizing handoff (mutex/queue); after that
-  /// the receiving thread owns it like any freshly constructed image.
-  Memory fork_detached() const;
-
   /// True if every allocated byte matches `other` (zero pages are equal to
   /// absent pages, so clones with different page sets still compare equal).
   /// Pages still shared between the two images compare by pointer.

@@ -1,6 +1,5 @@
 #include "engine/engine.hpp"
 
-#include <bit>
 #include <cerrno>
 #include <climits>
 #include <csignal>
@@ -76,37 +75,12 @@ FailSiteSpec parse_fail_sites(const std::string& spec) {
     std::string digits = part;
     FailSiteSpec::Entry entry;
     if (const std::size_t colon = part.find(':'); colon != std::string::npos) {
-      digits = part.substr(0, colon);
-      bool have_stage = false;
-      std::size_t tag_at = colon + 1;
-      for (;;) {
-        std::size_t tag_end = part.find(':', tag_at);
-        if (tag_end == std::string::npos) tag_end = part.size();
-        const std::string tag = part.substr(tag_at, tag_end - tag_at);
-        if (tag == "once") {
-          entry.once = true;
-        } else {
-          FailStage stage = FailStage::kArm;
-          if (tag == "restore") {
-            stage = FailStage::kRestore;
-          } else if (tag == "arm") {
-            stage = FailStage::kArm;
-          } else if (tag == "step") {
-            stage = FailStage::kStep;
-          } else if (tag == "classify") {
-            stage = FailStage::kClassify;
-          } else {
-            reject(
-                "expected <site> with optional :once and one of "
-                ":restore/:arm/:step/:classify");
-          }
-          if (have_stage) reject("more than one stage tag");
-          have_stage = true;
-          entry.stage = stage;
-        }
-        if (tag_end == part.size()) break;
-        tag_at = tag_end + 1;
+      // :once is the only tag.
+      if (part.compare(colon, std::string::npos, ":once") != 0) {
+        reject("expected <site> or <site>:once");
       }
+      digits = part.substr(0, colon);
+      entry.once = true;
     }
     if (digits.empty()) reject("empty site index");
     for (const char c : digits) {
@@ -166,6 +140,18 @@ Xoshiro256 shard_stream(u64 seed, unsigned shard) {
 }
 
 EngineOptions options_from_env(EngineOptions base) {
+  // Knobs of the deleted lane-pool and staged-pipeline schedulers. A set
+  // one fails loudly instead of silently running the serial path.
+  for (const char* removed :
+       {"ISSRTL_BATCH", "ISSRTL_SIMD", "ISSRTL_SIMD_TILE",
+        "ISSRTL_SIMD_MIN_LIVE", "ISSRTL_REFILL", "ISSRTL_VECEVAL",
+        "ISSRTL_PIPELINE", "ISSRTL_PREFETCH_DEPTH"}) {
+    with_env(removed, [&](const char*) {
+      throw std::invalid_argument(
+          std::string(removed) +
+          ": removed; campaigns always run the serial per-site engine");
+    });
+  }
   with_env("ISSRTL_THREADS", [&](const char* v) {
     base.threads =
         static_cast<unsigned>(parse_env_u64("ISSRTL_THREADS", v, UINT_MAX));
@@ -179,32 +165,6 @@ EngineOptions options_from_env(EngineOptions base) {
                                 "ISSRTL_CKPT_MB", v, SIZE_MAX >> 20))
                             << 20;
   });
-  with_env("ISSRTL_BATCH", [&](const char* v) {
-    base.batch_lanes = static_cast<unsigned>(
-        parse_env_u64("ISSRTL_BATCH", v, kMaxBatchLanes));
-  });
-  with_env("ISSRTL_SIMD", [&](const char* v) {
-    base.simd_lanes = env_flag("ISSRTL_SIMD", v);
-  });
-  with_env("ISSRTL_REFILL", [&](const char* v) {
-    base.lane_refill = env_flag("ISSRTL_REFILL", v);
-  });
-  with_env("ISSRTL_SIMD_MIN_LIVE", [&](const char* v) {
-    base.simd_min_live = static_cast<unsigned>(
-        parse_env_u64("ISSRTL_SIMD_MIN_LIVE", v, kMaxBatchLanes));
-  });
-  with_env("ISSRTL_SIMD_TILE", [&](const char* v) {
-    const u64 tile = env_u64_or_auto("ISSRTL_SIMD_TILE", v, 64, 0);
-    if (tile != 0 && (tile < 2 || !std::has_single_bit(tile))) {
-      throw std::invalid_argument(
-          "ISSRTL_SIMD_TILE: invalid value '" + std::string(v) +
-          "' (expected auto, 0, or a power of two in [2, 64])");
-    }
-    base.simd_tile = static_cast<unsigned>(tile);
-  });
-  with_env("ISSRTL_VECEVAL", [&](const char* v) {
-    base.vec_eval = env_flag("ISSRTL_VECEVAL", v);
-  });
   with_env("ISSRTL_JOURNAL", [&](const char* v) { base.journal_dir = v; });
   with_env("ISSRTL_RESUME", [&](const char* v) {
     base.resume = env_flag("ISSRTL_RESUME", v);
@@ -217,13 +177,6 @@ EngineOptions options_from_env(EngineOptions base) {
   });
   with_env("ISSRTL_DEADLINE_MS", [&](const char* v) {
     base.deadline_ms = parse_env_u64("ISSRTL_DEADLINE_MS", v, ~0ull);
-  });
-  with_env("ISSRTL_PIPELINE", [&](const char* v) {
-    base.pipeline = env_flag("ISSRTL_PIPELINE", v);
-  });
-  with_env("ISSRTL_PREFETCH_DEPTH", [&](const char* v) {
-    base.prefetch_depth = static_cast<std::size_t>(
-        parse_env_u64("ISSRTL_PREFETCH_DEPTH", v, 64, 1));
   });
   with_env("ISSRTL_FAIL_SITE", [&](const char* v) {
     parse_fail_sites(v);  // validate eagerly: a typo fails here, by name

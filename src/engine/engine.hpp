@@ -36,25 +36,10 @@
 //   Record record_from_journal(const JournalEntry&) const;
 //   Record error_record(std::size_t i, const std::string& what) const;
 //
-// Optionally a backend exposes batched (lane-pool) evaluation:
-//
-//   std::size_t batch_size() const;        // replica-lane pool cap
-//     // where W::run_batch(const std::vector<std::size_t>& sites,
-//     //                    on_site(item, Record&&), stop(), counters)
-//     //   delivers each site's Record through on_site as it retires
-//     //   (item = position in `sites`), deterministic per site and
-//     //   bit-identical to run_site outcome-wise. stop() is polled at
-//     //   lockstep-round granularity: once true the worker spawns no new
-//     //   sites, drains its in-flight lanes and returns (undelivered
-//     //   sites stay unevaluated). Per-site throws are contained inside
-//     //   run_batch (retry once, then an error_record), tallied into
-//     //   `counters`.
-//
-// When batch_size() > 1 the engine hands each worker its *whole* shard in
-// one run_batch call — the worker owns the scheduling (it feeds a lane
-// pool from the instant-sorted queue, refilling retired lanes so SIMD
-// tiles stay dense across what used to be batch boundaries). Records still
-// land in site-index slots, so batching never changes the result layout.
+// CampaignEngine::run is the one scheduler: each shard walks its sites in
+// injection-instant order and calls W::run_site once per site (restore the
+// golden prefix, arm the fault, step with the per-cycle monitor, classify),
+// then journals the record. See docs/ARCHITECTURE.md "One scheduler".
 #pragma once
 
 #include <algorithm>
@@ -63,21 +48,18 @@
 #include <cstddef>
 #include <exception>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
-#include <type_traits>
 #include <vector>
-
-#include <map>
-#include <stdexcept>
 
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "engine/journal.hpp"
 #include "engine/ladder.hpp"
-#include "engine/pipeline.hpp"
 
 namespace issrtl::engine {
 
@@ -124,77 +106,6 @@ struct EngineOptions {
   /// are already decided. Permanent faults never take this path (their
   /// armed overlay keeps perturbing the state). Requires the ladder.
   bool converge_cutoff = true;
-  /// Replica-lane pool size per worker for the RTL backend's batched
-  /// evaluation mode: the worker keeps up to this many faulty replica
-  /// lanes in flight (plus one shared fault-free cursor lane that pays the
-  /// golden-prefix positioning — rung restore + fast-forward — once per
-  /// refill), feeding the pool from its shard's instant-sorted work queue
-  /// and refilling each retired lane immediately so the lockstep rounds
-  /// stay dense for the whole shard. <= 1 selects the per-site serial path
-  /// (the reference implementation). Outcomes are bit-identical at every
-  /// pool size. Programmatic values above kMaxBatchLanes are clamped by
-  /// the backend; the ISSRTL_BATCH environment path rejects them outright
-  /// (options_from_env throws, so a typo cannot silently become the cap).
-  /// Backends without batch support ignore this field.
-  unsigned batch_lanes = 1;
-  /// Drive the batched RTL replicas through the SIMD lane-slice path: the
-  /// kernel stores replica lanes as lane-interleaved tiles
-  /// (rtl::LaneLayout::kTiled, cur[node][lane] contiguous) and the batch
-  /// scheduler rotates every live lane through one evaluation per simulated
-  /// cycle, clocking all lanes with a single rtl::SimContext::commit_lanes()
-  /// pass per round (vectorizable u32×8 or u32×16 strips, see simd_tile).
-  /// false selects the flat lane-major layout with per-lane chunked
-  /// stepping (the PR 4 scheduler), which is also what the final
-  /// stragglers fall back to. Outcomes, latencies and fault::outcome_hash
-  /// are bit-identical either way; only the wall-clock differs. No effect
-  /// unless batch_lanes > 1.
-  bool simd_lanes = true;
-  /// Continuous lane refill: true (the default) feeds each worker's pool
-  /// from its shard-local instant-sorted queue, respawning every retired
-  /// lane so occupancy stays dense across what used to be batch
-  /// boundaries. false restores the fixed-batch scheduling of the earlier
-  /// batched mode — the shard is sliced into batch_lanes-sized batches and
-  /// each batch drains completely (its failure tail thinning the pool)
-  /// before the next one spawns. Exists as the A/B baseline for the
-  /// lane-pool scheduler (bench_simtime_speedup's simd section) and as a
-  /// determinism axis: fault::outcome_hash is bit-identical either way.
-  /// ISSRTL_REFILL=0/1 is the environment path. No effect unless
-  /// batch_lanes > 1.
-  bool lane_refill = true;
-  /// Live-lane floor for the SIMD lane-slice rounds: while the work queue
-  /// still holds sites, retired lanes are refilled and the tiles stay
-  /// dense; once the queue drains and a round leaves fewer than this many
-  /// live lanes, the scheduler transposes the survivors back to flat
-  /// storage and finishes them with scalar per-lane stepping (a thinner
-  /// round first compacts survivors into dense tiles, see the RTL
-  /// backend). 0 = auto: one interleave tile (simd_tile lanes). The
-  /// ISSRTL_SIMD_MIN_LIVE environment knob accepts [0, kMaxBatchLanes];
-  /// outcomes are bit-identical at every value — the floor only moves the
-  /// SIMD/scalar boundary.
-  unsigned simd_min_live = 0;
-  /// Lanes per SIMD interleave tile. 0 = auto: runtime CPUID dispatch
-  /// picks 16 (u32×16 strips, one AVX-512 register wide) on hosts
-  /// reporting AVX-512F and the portable 8 elsewhere
-  /// (rtl::preferred_lane_tile). An explicit power of two in [2, 64]
-  /// forces that width — ISSRTL_SIMD_TILE=8 pins the portable path on
-  /// wide hosts (the CI dispatch-fallback smoke). Outcomes are
-  /// bit-identical at every width.
-  unsigned simd_tile = 0;
-  /// Node-major vector evaluation inside the SIMD lockstep rounds: each
-  /// round first *plans* every live lane's cycle (rtlcore escape analysis),
-  /// executes the lowered latch-transfer program once, node-major, over all
-  /// planned lanes' tile slices (rtl/veceval.hpp — AVX-512F masked stores
-  /// behind the same runtime dispatch as simd_tile, portable blend loops
-  /// otherwise), and finishes each planned lane with the unchanged per-lane
-  /// compute hooks; lanes whose cycle is data-dependent (traps, memory,
-  /// CTIs, multicycle, armed faults, fetch misses) escape to the behavioral
-  /// step for that cycle. false keeps every lane on the behavioral
-  /// lane-major step — the A/B baseline. Outcomes, latencies and
-  /// fault::outcome_hash are bit-identical either way (the compute hooks
-  /// are the behavioral code), so the flag stays out of campaign_key().
-  /// ISSRTL_VECEVAL (strict 0/1) is the environment path. No effect unless
-  /// batch_lanes > 1 and simd_lanes is on.
-  bool vec_eval = true;
   /// Called (serialised) as injections finish; every worker reports at
   /// least every `progress_stride` completed sites.
   std::function<void(const EngineProgress&)> on_progress;
@@ -209,22 +120,21 @@ struct EngineOptions {
   /// With a journal_dir: import the journal's chain-valid records instead
   /// of re-simulating their sites. The merged result (outcomes, latencies,
   /// fault::outcome_hash) is bit-identical to an uninterrupted run
-  /// whatever the original run's crash point, thread count or batch/SIMD
-  /// configuration — per-site records depend only on the site and the
+  /// whatever the original run's crash point or thread count — per-site
+  /// records depend only on the site and the
   /// golden run, so any import/re-simulate partition merges identically.
   /// false (the default) truncates any existing journal file first: a
   /// fresh campaign must not silently merge stale records. ISSRTL_RESUME
   /// (strict 0/1) is the environment path.
   bool resume = false;
   /// Wall-clock budget in milliseconds, measured from CampaignEngine::run
-  /// entry; 0 = none. On expiry workers stop starting sites, drain their
-  /// in-flight lanes, flush the journal, and the campaign returns a
+  /// entry; 0 = none. On expiry workers stop starting sites, finish the
+  /// site in flight, flush the journal, and the campaign returns a
   /// partial result marked truncated (completed/total counts filled in).
   /// ISSRTL_DEADLINE_MS is the environment path.
   u64 deadline_ms = 0;
   /// Cooperative stop flag (optional, not owned): checked alongside the
-  /// deadline at per-site granularity on the serial path and at
-  /// lockstep-round granularity in the batched scheduler. The CLIs point
+  /// deadline before every site. The CLIs point
   /// this at engine::signal_stop_flag() after install_signal_stop(), which
   /// is what makes Ctrl-C a graceful truncation instead of a lost
   /// campaign. A site that already started always finishes (abandoning
@@ -238,13 +148,13 @@ struct EngineOptions {
   /// (Leon3Core::transplant, golden timebase and bus prefix preserved), and
   /// simulate only the faulty suffix at RTL fidelity. The resulting
   /// campaign is schedule-invariant — fault::outcome_hash is bit-identical
-  /// across threads, batch, SIMD and ladder settings — but it is a
+  /// across threads and ladder settings — but it is a
   /// different experiment from a pure-RTL campaign for faults whose effect
   /// depends on the in-flight pipeline contents at the injection instant
   /// (the transplanted pipeline starts empty; see docs/ARCHITECTURE.md
   /// "Mixed-fidelity prefix"), so the RTL backend folds this flag into
-  /// campaign_key(), unlike the schedule knobs above. Forces the serial
-  /// per-site path (batch_lanes is ignored). The ISS backend ignores it.
+  /// campaign_key(), unlike the schedule knobs above. The ISS backend
+  /// ignores it.
   /// ISSRTL_MIXED (strict 0/1) is the environment path.
   bool mixed_fidelity = false;
   /// Drive every engine-owned iss::Emulator through its decoded-block fast
@@ -255,104 +165,47 @@ struct EngineOptions {
   /// differential-testing axis. ISSRTL_ISS_FAST (strict 0/1) is the
   /// environment path.
   bool iss_fast_path = true;
-  /// Staged campaign pipeline (see engine/pipeline.hpp): run each shard as
-  /// restore/prefetch -> clone+arm+step -> classify+report stages decoupled
-  /// by bounded queues, so ladder restores and suffix classification
-  /// overlap the lockstep stepping rounds instead of stalling them. false
-  /// selects the synchronous single-thread-per-shard loop, kept in-tree as
-  /// the A/B baseline and determinism axis (exactly like lane_refill).
-  /// fault::outcome_hash is bit-identical either way, at every thread
-  /// count x batch size x SIMD/tile/refill setting x resume cut-point: the
-  /// prefetcher replays the same deterministic golden prefix the demand
-  /// path replays, per-site records are schedule-invariant, and commit
-  /// order is invisible to site-indexed slots and the dedup-on-import
-  /// journal. Paths without a staged driver (RTL serial batch_lanes <= 1,
-  /// mixed fidelity) degenerate to the synchronous flow even when set.
-  /// ISSRTL_PIPELINE (strict 0/1) is the environment path.
-  bool pipeline = true;
-  /// Bounded depth of the restore/prefetch stage's snapshot queue, in
-  /// instant-groups ahead of demand per shard (the retirement queue sizes
-  /// itself at twice this). [1, 64]; higher values trade memory (one
-  /// golden-prefix snapshot per slot) for more slack between the stages.
-  /// Schedule-only: outcomes are bit-identical at every depth.
-  /// ISSRTL_PREFETCH_DEPTH is the environment path. No effect unless
-  /// pipeline is on.
-  std::size_t prefetch_depth = 2;
   /// Test-only fault-injection hook (ISSRTL_FAIL_SITE): comma-separated
   /// site indices whose host simulation throws while being processed —
   /// "<i>" throws on every attempt (deterministic failure: the retry also
   /// throws, the site classifies kEngineError), "<i>:once" throws on the
   /// first attempt only (transient host trouble: the fresh-restore retry
-  /// succeeds). An optional stage tag ("<i>:step", "<i>:once:classify")
-  /// moves the throw from fault-arm time (the default, ":arm") to the
-  /// restore, stepping or classification stage, so isolation can be
-  /// exercised on every stage of the staged pipeline — and, identically,
-  /// on the corresponding points of the synchronous loop. Exercises every
-  /// retirement path of the worker-isolation machinery; empty (the
-  /// default) disables it.
+  /// succeeds). The throw fires right after the fault is armed. Exercises
+  /// both outcomes of the worker-isolation retry; empty (the default)
+  /// disables it.
   std::string fail_sites;
 };
-
-/// Upper bound on EngineOptions::batch_lanes: far beyond the useful range
-/// (a batch spanning more distinct instants than this just fragments the
-/// lockstep rounds) and small enough that the per-lane node/trace/memory
-/// replicas stay a negligible allocation.
-inline constexpr unsigned kMaxBatchLanes = 1024;
 
 /// `base` with the ISSRTL_* environment knobs folded in: ISSRTL_THREADS
 /// (worker threads), ISSRTL_CKPT_STRIDE ("auto", or rung spacing in
 /// instants; 0 disables the ladder), ISSRTL_CKPT_MB (ladder byte cap in
-/// MiB), ISSRTL_BATCH (replica-lane pool size for batched RTL evaluation;
-/// 0/1 = serial path), ISSRTL_SIMD (1 = lane-interleaved SIMD lockstep
-/// stepping, 0 = flat per-lane chunked stepping; any other value is
-/// rejected), ISSRTL_REFILL (1 = continuous pool refill from the shard
-/// queue, 0 = fixed batch_lanes-sized batches; any other value is
-/// rejected), ISSRTL_SIMD_MIN_LIVE (live-lane floor before the scalar
-/// tail, [0, kMaxBatchLanes]; 0 = auto) and ISSRTL_SIMD_TILE ("auto" or 0
-/// = CPUID dispatch, else a power of two in [2, 64] forcing the interleave
-/// width), ISSRTL_VECEVAL (1 = node-major vector evaluation inside the
-/// SIMD rounds, 0 = behavioral lane-major stepping; any other value is
-/// rejected), ISSRTL_JOURNAL (write-ahead journal directory; any non-empty
+/// MiB), ISSRTL_JOURNAL (write-ahead journal directory; any non-empty
 /// path), ISSRTL_RESUME (1 = import the journal's records, 0 = truncate
-/// it; any other value is rejected), ISSRTL_MIXED (1 = mixed-fidelity
-/// ISS-prefix/RTL-suffix campaigns, 0 = pure RTL; any other value is
-/// rejected), ISSRTL_ISS_FAST (1 = decoded-block ISS fast path, 0 = the
-/// reference decode-per-instruction path; any other value is rejected),
-/// ISSRTL_DEADLINE_MS (wall-clock budget in milliseconds; 0 = none),
-/// ISSRTL_PIPELINE (1 = staged restore/step/classify pipeline, 0 = the
-/// synchronous loop; any other value is rejected), ISSRTL_PREFETCH_DEPTH
-/// (snapshot queue depth per shard, [1, 64]) and
-/// ISSRTL_FAIL_SITE (test-only throw hook, comma-separated "<site>" /
-/// "<site>:once" with an optional ":restore"/":arm"/":step"/":classify"
-/// stage tag). Unset or empty variables
-/// leave the corresponding field of `base` untouched; front ends apply
-/// explicit command-line arguments on top. A set variable must parse in
-/// full — plain decimal digits (plus the literal "auto" for
-/// ISSRTL_CKPT_STRIDE) with no sign, whitespace or trailing junk — and fit
-/// the target field; anything else throws std::invalid_argument naming the
-/// offending variable, rather than silently running a campaign with a
-/// mangled configuration.
+/// it), ISSRTL_MIXED (1 = mixed-fidelity ISS-prefix/RTL-suffix campaigns,
+/// 0 = pure RTL), ISSRTL_ISS_FAST (1 = decoded-block ISS fast path, 0 = the
+/// reference decode-per-instruction path), ISSRTL_DEADLINE_MS (wall-clock
+/// budget in milliseconds; 0 = none) and ISSRTL_FAIL_SITE (test-only throw
+/// hook, comma-separated "<site>" / "<site>:once"). The 0/1 flags reject
+/// any other value. Unset or empty variables leave the corresponding field
+/// of `base` untouched; front ends apply explicit command-line arguments on
+/// top. A set variable must parse in full — plain decimal digits (plus the
+/// literal "auto" for ISSRTL_CKPT_STRIDE) with no sign, whitespace or
+/// trailing junk — and fit the target field; anything else throws
+/// std::invalid_argument naming the offending variable, rather than
+/// silently running a campaign with a mangled configuration. So does any
+/// knob of the deleted batched and staged schedulers (ISSRTL_BATCH,
+/// ISSRTL_SIMD, ISSRTL_SIMD_TILE, ISSRTL_SIMD_MIN_LIVE, ISSRTL_REFILL,
+/// ISSRTL_VECEVAL, ISSRTL_PIPELINE, ISSRTL_PREFETCH_DEPTH) that is still
+/// set: a script relying on one must learn it is gone.
 EngineOptions options_from_env(EngineOptions base = {});
 
 /// Threads actually used for `sites` fault sites under `requested`.
 unsigned resolve_threads(unsigned requested, std::size_t sites);
 
-/// Which processing stage an ISSRTL_FAIL_SITE entry throws in. The stages
-/// exist as explicit threads only in the staged pipeline, but every one has
-/// an exact counterpart in the synchronous loop (the hook fires at the same
-/// logical point either way, so records and retry counters match).
-enum class FailStage : u8 {
-  kRestore,   ///< right after golden-prefix positioning for the site
-  kArm,       ///< right after the fault is armed (the default)
-  kStep,      ///< at the first stepping round after the site spawns
-  kClassify,  ///< at classification start (skipped by convergence cutoffs)
-};
-
 /// Parsed EngineOptions::fail_sites spec (test-only hook).
 struct FailSiteSpec {
   struct Entry {
     bool once = false;  ///< throw on the first attempt only
-    FailStage stage = FailStage::kArm;
   };
   std::vector<std::pair<std::size_t, Entry>> sites;  // few entries: linear
 
@@ -365,23 +218,22 @@ struct FailSiteSpec {
   }
 };
 
-/// Strict parse of a fail-site spec ("3", "3:once", "3:step",
-/// "3:once:classify", comma-separated; tags in any order, at most one stage
-/// tag per site); throws std::invalid_argument on anything else. "" parses
-/// to an empty spec.
+/// Strict parse of a fail-site spec ("3", "3:once", comma-separated);
+/// throws std::invalid_argument on anything else. "" parses to an empty
+/// spec.
 FailSiteSpec parse_fail_sites(const std::string& spec);
 
 /// Shared ISSRTL_FAIL_SITE trigger: throws std::runtime_error when `spec`
-/// names `site_index` at `stage` (respecting :once against this holder's
-/// per-site attempt map). Both backends' workers and the staged classify
-/// stages call this so the error text — including the attempt number — is
-/// identical pipeline on or off.
-inline void maybe_fail_stage(const FailSiteSpec& spec,
-                             std::map<std::size_t, unsigned>& attempts,
-                             std::size_t site_index, FailStage stage) {
+/// names `site_index` (respecting :once against this holder's per-site
+/// attempt map). Both backends' workers call it right after arming the
+/// fault, so the error text — including the attempt number — has one
+/// format.
+inline void maybe_fail_site(const FailSiteSpec& spec,
+                            std::map<std::size_t, unsigned>& attempts,
+                            std::size_t site_index) {
   if (spec.empty()) return;
   const FailSiteSpec::Entry* entry = spec.find(site_index);
-  if (entry == nullptr || entry->stage != stage) return;
+  if (entry == nullptr) return;
   const unsigned attempt = ++attempts[site_index];
   if (entry->once && attempt > 1) return;
   throw std::runtime_error("ISSRTL_FAIL_SITE: injected worker fault at site " +
@@ -399,13 +251,6 @@ std::atomic<bool>& signal_stop_flag();
 /// Ctrl-C force-kills as usual.
 void install_signal_stop();
 
-/// Shared retry/containment tallies a batched worker reports into while it
-/// isolates per-site throws (the serial path tallies them directly).
-struct EngineRunCounters {
-  std::atomic<u64> retried{0};        ///< sites re-run after a first throw
-  std::atomic<u64> engine_errors{0};  ///< sites whose retry also threw
-};
-
 /// What CampaignEngine::run hands back: site-indexed records plus the
 /// durability metadata backends fold into their CampaignResult. Only slots
 /// with done[i] != 0 hold a valid record; completed counts them. truncated
@@ -421,10 +266,6 @@ struct EngineRun {
   u64 journal_dropped = 0;  ///< journal records rejected (chain/site-key)
   u64 sites_retried = 0;
   u64 engine_errors = 0;
-  /// Staged-pipeline occupancy/stall tallies summed over shards (peaks are
-  /// maxed). All zero when the pipeline was off or degenerate. Observability
-  /// only — schedule-dependent, exempt from determinism comparisons.
-  StageTallies stages;
 };
 
 /// Deterministic per-shard RNG stream: decorrelated from the campaign seed
@@ -456,7 +297,7 @@ class CampaignEngine {
   /// isolation: a site whose simulation throws is retried once on a fresh
   /// restore, then classified via backend.error_record; other sites and
   /// shards are unaffected. Graceful stop (opts.stop / opts.deadline_ms):
-  /// workers stop starting sites, drain in-flight lanes, and run returns a
+  /// workers stop starting sites, finish the one in flight, and run returns a
   /// partial EngineRun with truncated set. Every completed record is
   /// bit-identical to the uninterrupted run's, whichever of these paths
   /// produced it.
@@ -497,14 +338,10 @@ class CampaignEngine {
     }
 
     const unsigned threads = resolve_threads(opts_.threads, remaining);
-    std::size_t group = 1;
-    if constexpr (requires { backend.batch_size(); }) {
-      group = std::max<std::size_t>(std::size_t{1}, backend.batch_size());
-    }
 
-    // Stop control: external flag (signal or embedder) checked every poll,
-    // wall-clock deadline alongside it. The latch makes a stop sticky and
-    // campaign-wide the moment any worker observes it.
+    // Stop control: external flag (signal or embedder) checked before every
+    // site, wall-clock deadline alongside it. The latch makes a stop sticky
+    // and campaign-wide the moment any worker observes it.
     std::atomic<bool> stop_latch{false};
     const bool has_deadline = opts_.deadline_ms != 0;
     const auto deadline = std::chrono::steady_clock::now() +
@@ -520,12 +357,12 @@ class CampaignEngine {
       return false;
     };
 
-    EngineRunCounters counters;
+    std::atomic<u64> retried{0};        // sites re-run after a first throw
+    std::atomic<u64> engine_errors{0};  // sites whose retry also threw
     std::mutex journal_mu;
     std::mutex progress_mu;
     std::size_t reported = 0;  // highest count delivered, under progress_mu
     std::vector<std::exception_ptr> errors(threads);
-    std::vector<StageTallies> stage_tallies(threads);
 
     auto run_shard = [&](unsigned shard) {
       try {
@@ -542,78 +379,6 @@ class CampaignEngine {
                          });
         auto worker = backend.make_worker(shard);
         std::size_t unreported = 0;
-        auto report_done = [&](std::size_t n) {
-          const std::size_t done = completed.fetch_add(n) + n;
-          unreported += n;
-          if (opts_.on_progress &&
-              (unreported >= opts_.progress_stride || done == total)) {
-            unreported = 0;
-            const std::lock_guard<std::mutex> lock(progress_mu);
-            // Re-read under the lock and deliver only new maxima, so the
-            // callback sees a monotonic count even when workers race
-            // between their fetch_add and this critical section.
-            const std::size_t now = completed.load();
-            if (now > reported) {
-              reported = now;
-              opts_.on_progress({now, total});
-            }
-          }
-        };
-        // Write-ahead commit: journal first, then publish the record and
-        // its done bit. A crash between the two re-simulates the site on
-        // resume and re-appends an identical record (first-wins dedupe on
-        // import makes the duplicate harmless).
-        auto commit = [&](std::size_t site, Record&& r) {
-          if (journal) {
-            const std::lock_guard<std::mutex> lock(journal_mu);
-            journal->append(backend.journal_entry(site, r));
-          }
-          out.records[site] = std::move(r);
-          out.done[site] = 1;
-          report_done(1);
-        };
-        using WorkerT = std::remove_reference_t<decltype(*worker)>;
-        // Staged pipeline: hand the shard to the three-stage driver when
-        // the backend supports it and the options ask for it. The driver
-        // reuses the same commit/stop closures, so journaling, progress,
-        // truncation and isolation semantics are unchanged — commit just
-        // runs on the shard's classify thread instead of its main one.
-        constexpr bool kHasStaged = requires(const Backend& b, unsigned s) {
-          typename Backend::Retired;
-          typename Backend::PrefetchSnapshot;
-          b.staged_enabled();
-          b.make_prefetcher(s);
-          b.make_classifier();
-        };
-        if constexpr (kHasStaged) {
-          if (opts_.pipeline && backend.staged_enabled()) {
-            run_staged_shard(backend, *worker, shard, mine, commit,
-                             stop_poll, counters, stage_tallies[shard],
-                             opts_.prefetch_depth);
-            return;
-          }
-        }
-        constexpr bool kHasBatch =
-            requires(WorkerT& w, const std::vector<std::size_t>& v,
-                     const std::function<void(std::size_t, Record&&)>& f,
-                     const std::function<bool()>& s, EngineRunCounters& c) {
-              w.run_batch(v, f, s, c);
-            };
-        if constexpr (kHasBatch) {
-          if (group > 1) {
-            // Whole-shard handout: the worker schedules the instant-sorted
-            // queue over its lane pool itself, delivering each record as
-            // its site retires; commit scatters them to site-index slots,
-            // so the result layout is identical to the per-site path.
-            worker->run_batch(
-                mine,
-                [&](std::size_t item, Record&& r) {
-                  commit(mine[item], std::move(r));
-                },
-                stop_poll, counters);
-            return;
-          }
-        }
         for (const std::size_t i : mine) {
           if (stop_poll()) return;
           // Worker isolation: one fresh-restore retry distinguishes
@@ -625,18 +390,41 @@ class CampaignEngine {
           try {
             r = worker->run_site(i);
           } catch (...) {
-            counters.retried.fetch_add(1, std::memory_order_relaxed);
+            retried.fetch_add(1, std::memory_order_relaxed);
             try {
               r = worker->run_site(i);
             } catch (const std::exception& e) {
-              counters.engine_errors.fetch_add(1, std::memory_order_relaxed);
+              engine_errors.fetch_add(1, std::memory_order_relaxed);
               r = backend.error_record(i, e.what());
             } catch (...) {
-              counters.engine_errors.fetch_add(1, std::memory_order_relaxed);
+              engine_errors.fetch_add(1, std::memory_order_relaxed);
               r = backend.error_record(i, "unknown exception");
             }
           }
-          commit(i, std::move(r));
+          // Write-ahead commit: journal first, then publish the record and
+          // its done bit. A crash between the two re-simulates the site on
+          // resume and re-appends an identical record (first-wins dedupe on
+          // import makes the duplicate harmless).
+          if (journal) {
+            const std::lock_guard<std::mutex> lock(journal_mu);
+            journal->append(backend.journal_entry(i, r));
+          }
+          out.records[i] = std::move(r);
+          out.done[i] = 1;
+          const std::size_t done = completed.fetch_add(1) + 1;
+          if (opts_.on_progress &&
+              (++unreported >= opts_.progress_stride || done == total)) {
+            unreported = 0;
+            const std::lock_guard<std::mutex> lock(progress_mu);
+            // Re-read under the lock and deliver only new maxima, so the
+            // callback sees a monotonic count even when workers race
+            // between their fetch_add and this critical section.
+            const std::size_t now = completed.load();
+            if (now > reported) {
+              reported = now;
+              opts_.on_progress({now, total});
+            }
+          }
         }
       } catch (...) {
         errors[shard] = std::current_exception();
@@ -656,9 +444,8 @@ class CampaignEngine {
     }
     out.completed = completed.load();
     out.truncated = out.completed < total;
-    out.sites_retried = counters.retried.load();
-    out.engine_errors = counters.engine_errors.load();
-    for (const StageTallies& t : stage_tallies) out.stages.merge(t);
+    out.sites_retried = retried.load();
+    out.engine_errors = engine_errors.load();
     return out;
   }
 

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <atomic>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -58,96 +57,20 @@ class IssCampaignBackend {
   Record record_from_journal(const JournalEntry& e) const;
   Record error_record(std::size_t i, const std::string& what) const;
 
-  // ---- staged pipeline (see engine/pipeline.hpp) --------------------------
-  using PrefetchSnapshot = GoldenSnapshot;
-  using Retired = RetiredPacket<Record>;
-  using Pipe = StagePipe<GoldenSnapshot, Retired>;
-
-  /// The ISS worker is a serial per-site loop, so the staged split applies
-  /// to every configuration: capture (restore + arm + step) on the shard's
-  /// thread, snapshots prefetched by [R], classification on [C].
-  bool staged_enabled() const noexcept { return true; }
-
-  /// Restore/prefetch stage: a private fault-free emulator that walks the
-  /// shard's injection instants monotonically (rung restore / cold reset /
-  /// rolling advance — prepare()'s three-way choice, with the golden-trace
-  /// prefix tracked as length counters so the lite restores stay O(state)).
-  /// Runs no ISSRTL_FAIL_SITE hooks: it works per-instant, not per-site.
-  class Prefetcher {
-   public:
-    explicit Prefetcher(const IssCampaignBackend& backend);
-    /// Snapshot exactly at `inject_at_instr`, or nullptr when the position
-    /// cannot be materialised (the capture stage then pays the demand
-    /// restore, which is bit-identical). The Memory is fork_detached() so
-    /// the snapshot can cross the queue to the capture thread.
-    std::shared_ptr<const GoldenSnapshot> materialize(u64 inject_at_instr);
-
-   private:
-    const IssCampaignBackend& b_;
-    Memory mem_;
-    iss::Emulator emu_;
-    bool valid_ = false;
-    std::size_t writes_ = 0;  ///< golden write count at the last restore
-    std::size_t reads_ = 0;
-  };
-
-  /// Classification stage: a pure function of the retired packet (suffix
-  /// trace + capture-time register verdict) against the shared golden
-  /// trace. Mirrors run_site's epilogue.
-  class Classifier {
-   public:
-    explicit Classifier(const IssCampaignBackend& backend) : b_(backend) {}
-    Record classify(const Retired& p);
-
-   private:
-    const IssCampaignBackend& b_;
-    std::map<std::size_t, unsigned> fail_attempts_;  ///< ISSRTL_FAIL_SITE
-  };
-
-  std::unique_ptr<Prefetcher> make_prefetcher(unsigned /*shard*/) const {
-    return std::make_unique<Prefetcher>(*this);
-  }
-  std::unique_ptr<Classifier> make_classifier() const {
-    return std::make_unique<Classifier>(*this);
-  }
-
-  /// run_site's classification epilogue as a pure function of a retired
-  /// packet — shared by the synchronous path and the classify stage (which
-  /// differ only in where the ISSRTL_FAIL_SITE :classify hook fires).
-  Record classify_packet(const Retired& p) const;
-
   class Worker {
    public:
     Worker(const IssCampaignBackend& backend, unsigned shard);
+    /// Restore the golden prefix, arm the fault, step the faulty suffix
+    /// under the per-instruction monitor (early stop on a definite write
+    /// divergence, convergence cut-off at ladder rungs) and classify the
+    /// outcome against the golden run.
     Record run_site(std::size_t index);
 
-    /// Staged-pipeline capture stage: the serial per-site loop with the
-    /// classification epilogue split off — each site is captured (restore /
-    /// adopt a prefetched snapshot, arm, step) and shipped to the classify
-    /// stage as a Retired packet. Worker isolation matches the synchronous
-    /// loop: one retry on a fresh demand restore, then a pre-classified
-    /// engine-error packet. A closed retirement queue ends the loop (the
-    /// driver rethrows the classify stage's error).
-    void run_capture(const std::vector<std::size_t>& indices, Pipe& pipe,
-                     const std::function<bool()>& stop,
-                     EngineRunCounters& counters);
-
    private:
-    /// Position the emulator fault-free at `inject_at_instr`. When `pf` is
-    /// set (staged mode; already verified to sit exactly at the instant),
-    /// adopt it instead of restoring — bit-identical by restore-source
-    /// invisibility, since the prefetcher replayed the same golden prefix.
-    void prepare(u64 inject_at_instr, const GoldenSnapshot* pf = nullptr);
-
-    /// run_site minus the classification epilogue: restore/arm/step and
-    /// record everything classification needs into a Retired packet
-    /// (convergence cutoffs and clean captures alike).
-    Retired capture_site(std::size_t index, const GoldenSnapshot* pf);
-
-    /// ISSRTL_FAIL_SITE test hook: throws at processing stage `stage` of a
-    /// site when the spec names this site at that stage (see
-    /// EngineOptions::fail_sites).
-    void maybe_fail_site(std::size_t site_index, FailStage stage);
+    /// Position the emulator fault-free at `inject_at_instr`: from the
+    /// rolling shard checkpoint or the best ladder rung — whichever is not
+    /// ahead of us and closer — or from reset when neither exists.
+    void prepare(u64 inject_at_instr);
 
     // Stochastic per-run behaviour (none today) must draw from
     // engine::shard_stream(cfg.seed, shard) to stay reshard-stable.

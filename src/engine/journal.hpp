@@ -2,10 +2,9 @@
 //
 // A campaign's unit of progress is one classified fault site, and — by the
 // engine's determinism contract — each site's record depends only on the
-// site and the golden run, never on which worker simulated it, in what
-// order, or alongside which pool-mates. That makes the completed-site set a
-// crash-safe checkpoint of the whole campaign: persist each record as it
-// retires, and any partition of the site list between "imported from the
+// site and the golden run, never on which worker simulated it or in what
+// order. That makes the completed-site set a crash-safe checkpoint of the
+// whole campaign: persist each record as it retires, and any partition of the site list between "imported from the
 // journal" and "re-simulated after restart" merges into a result that is
 // bit-identical (outcomes, latencies, fault::outcome_hash) to an
 // uninterrupted run.
@@ -36,11 +35,10 @@
 // Appends take a mutex and flush per record, so every record a worker
 // committed before a crash is on its way to the file in order; recovery
 // rewrites the file compacted (valid prefix only) before reopening it for
-// appends. Under the staged pipeline appends arrive from each shard's
-// classify thread in *retirement* order (schedule-dependent), which is
-// fine by construction: records are schedule-invariant and import dedupes
-// first-wins on site index, so any append interleaving resumes into the
-// same merged result.
+// appends. Appends from different shards interleave in a
+// schedule-dependent order, which is fine by construction: records are
+// schedule-invariant and import dedupes first-wins on site index, so any
+// append interleaving resumes into the same merged result.
 #pragma once
 
 #include <cstdio>

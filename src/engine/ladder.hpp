@@ -25,9 +25,7 @@
 // full-suffix replays into O(stride) ones.
 //
 // Thread safety: the ladder is built single-threaded during the golden run
-// and is immutable afterwards; workers — including the staged pipeline's
-// per-shard restore/prefetch threads (engine/pipeline.hpp), which walk the
-// same best_rung lookups as demand restores — only read it. Snapshots are
+// and is immutable afterwards; workers only read it. Snapshots are
 // held by shared_ptr-to-const, so restoring never copies a rung, and the
 // COW page control blocks make the concurrent Memory::clone calls safe.
 #pragma once

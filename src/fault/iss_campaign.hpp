@@ -44,6 +44,10 @@ struct IssCampaignStats {
                            : static_cast<double>(failures) /
                                  static_cast<double>(classified);
   }
+  /// 95% Wilson interval around pf(), over the same denominator.
+  PfInterval pf_ci95() const {
+    return wilson95(failures, runs > errors ? runs - errors : 0);
+  }
 };
 
 struct IssCampaignResult {

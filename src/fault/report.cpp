@@ -68,4 +68,9 @@ std::ostream& operator<<(std::ostream& os, const TextTable& t) {
   return os << t.render();
 }
 
+std::string pf_with_ci(double pf, const PfInterval& ci) {
+  return TextTable::pct(pf) + " [" + TextTable::pct(ci.lo) + ", " +
+         TextTable::pct(ci.hi) + "]";
+}
+
 }  // namespace issrtl::fault

@@ -5,6 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "fault/interval.hpp"
+
 namespace issrtl::fault {
 
 /// Fixed-width text table with a markdown-ish rendering.
@@ -29,5 +31,8 @@ class TextTable {
 };
 
 std::ostream& operator<<(std::ostream& os, const TextTable& t);
+
+/// A Pf with its interval, e.g. "8.3% [3.6%, 18.1%]" (one decimal).
+std::string pf_with_ci(double pf, const PfInterval& ci);
 
 }  // namespace issrtl::fault

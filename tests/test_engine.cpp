@@ -4,6 +4,7 @@
 // (checkpointing, early divergence cut-off) with the naive serial algorithm.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
@@ -221,6 +222,42 @@ TEST(Engine, ResultsBitIdenticalToPreRefactorBaseline) {
 
 // ---- checkpoint correctness -------------------------------------------------
 
+// The full-window instant draw (InstantWindow::kFull) must reach the second
+// half of the golden run — the states the legacy half-window draw could
+// never sample — while the default keeps the historical draw bit-identical.
+// Late instants stay schedule-invariant.
+TEST(Engine, InstantWindowFullReachesSecondHalf) {
+  const auto prog = small_workload();
+  CampaignConfig cfg;
+  cfg.unit_prefix = "iu.fe";
+  cfg.samples = 40;
+  cfg.instants_per_site = 3;
+  cfg.models = {FaultModel::kTransientBitFlip, FaultModel::kStuckAt0};
+  cfg.inject_time = fault::InjectTime::kUniformRandom;
+  CampaignConfig full = cfg;
+  full.instant_window = fault::InstantWindow::kFull;
+
+  EngineOptions opts;
+  opts.threads = 1;
+  const CampaignResult rh = run_rtl_campaign(prog, cfg, {}, opts);
+  const CampaignResult rf = run_rtl_campaign(prog, full, {}, opts);
+  u64 half_max = 0, full_max = 0;
+  for (const auto& run : rh.runs) {
+    half_max = std::max(half_max, run.site.inject_cycle);
+  }
+  for (const auto& run : rf.runs) {
+    full_max = std::max(full_max, run.site.inject_cycle);
+  }
+  // Legacy window: never past golden/2. Full window: each of the ~240
+  // draws lands in the second half with probability 1/2.
+  EXPECT_LE(half_max, rh.golden_cycles / 2);
+  EXPECT_GT(full_max, rf.golden_cycles / 2);
+
+  EngineOptions threaded = opts;
+  threaded.threads = 3;
+  expect_identical(rf, run_rtl_campaign(prog, full, {}, threaded));
+}
+
 TEST(Checkpoint, RtlCoreResumesToIdenticalRun) {
   const auto prog = small_workload();
 
@@ -382,12 +419,10 @@ TEST(Engine, OptionsFromEnvParsesValidValues) {
   ScopedEnv t("ISSRTL_THREADS", "6");
   ScopedEnv s("ISSRTL_CKPT_STRIDE", "977");
   ScopedEnv m("ISSRTL_CKPT_MB", "64");
-  ScopedEnv b("ISSRTL_BATCH", "16");
   const EngineOptions opts = options_from_env();
   EXPECT_EQ(opts.threads, 6u);
   EXPECT_EQ(opts.ladder_stride, 977u);
   EXPECT_EQ(opts.ladder_max_bytes, std::size_t{64} << 20);
-  EXPECT_EQ(opts.batch_lanes, 16u);
 }
 
 TEST(Engine, OptionsFromEnvAcceptsAutoStrideAndZero) {
@@ -430,10 +465,6 @@ TEST(Engine, OptionsFromEnvRejectsMalformedValues) {
     EXPECT_THROW(options_from_env(), std::invalid_argument);
   }
   {
-    ScopedEnv b("ISSRTL_BATCH", "lots");
-    EXPECT_THROW(options_from_env(), std::invalid_argument);
-  }
-  {
     // Error messages must name the offending variable, or the user cannot
     // tell which of the four knobs to fix.
     ScopedEnv t("ISSRTL_THREADS", "abc");
@@ -450,103 +481,29 @@ TEST(Engine, OptionsFromEnvRejectsMalformedValues) {
   }
 }
 
-TEST(Engine, OptionsFromEnvRejectsOversizedBatch) {
-  ScopedEnv b("ISSRTL_BATCH", "1000000");
-  EXPECT_THROW(options_from_env(), std::invalid_argument);
-}
-
-TEST(Engine, OptionsFromEnvParsesSimdFlag) {
-  {
-    ScopedEnv s("ISSRTL_SIMD", "0");
-    EXPECT_FALSE(options_from_env().simd_lanes);
-  }
-  {
-    ScopedEnv s("ISSRTL_SIMD", "1");
-    EXPECT_TRUE(options_from_env().simd_lanes);
-  }
-  {
-    ScopedEnv s("ISSRTL_SIMD", nullptr);
-    EngineOptions base;
-    base.simd_lanes = false;
-    EXPECT_FALSE(options_from_env(base).simd_lanes);  // unset: untouched
-  }
-  for (const char* v : {"2", "yes", "on", "-1", "true"}) {
-    ScopedEnv s("ISSRTL_SIMD", v);
-    EXPECT_THROW(options_from_env(), std::invalid_argument) << v;
-  }
-}
-
-TEST(Engine, OptionsFromEnvParsesRefillFlag) {
-  {
-    ScopedEnv s("ISSRTL_REFILL", "0");
-    EXPECT_FALSE(options_from_env().lane_refill);
-  }
-  {
-    ScopedEnv s("ISSRTL_REFILL", "1");
-    EXPECT_TRUE(options_from_env().lane_refill);
-  }
-  {
-    ScopedEnv s("ISSRTL_REFILL", nullptr);
-    EngineOptions base;
-    base.lane_refill = false;
-    EXPECT_FALSE(options_from_env(base).lane_refill);  // unset: untouched
-  }
-  for (const char* v : {"2", "off", "-1", "true"}) {
-    ScopedEnv s("ISSRTL_REFILL", v);
-    EXPECT_THROW(options_from_env(), std::invalid_argument) << v;
-  }
-}
-
-TEST(Engine, OptionsFromEnvParsesSimdMinLive) {
-  {
-    ScopedEnv s("ISSRTL_SIMD_MIN_LIVE", "12");
-    EXPECT_EQ(options_from_env().simd_min_live, 12u);
-  }
-  {
-    ScopedEnv s("ISSRTL_SIMD_MIN_LIVE", "0");  // 0 = auto (one tile)
-    EXPECT_EQ(options_from_env().simd_min_live, 0u);
-  }
-  {
-    ScopedEnv s("ISSRTL_SIMD_MIN_LIVE", nullptr);
-    EngineOptions base;
-    base.simd_min_live = 7;
-    EXPECT_EQ(options_from_env(base).simd_min_live, 7u);  // unset: untouched
-  }
-  {
-    ScopedEnv s("ISSRTL_SIMD_MIN_LIVE", "1025");  // > kMaxBatchLanes
-    EXPECT_THROW(options_from_env(), std::invalid_argument);
-  }
-  for (const char* v : {"abc", "-4", "8x", " 8", "0x8"}) {
-    ScopedEnv s("ISSRTL_SIMD_MIN_LIVE", v);
-    EXPECT_THROW(options_from_env(), std::invalid_argument) << v;
-  }
-}
-
-TEST(Engine, OptionsFromEnvParsesSimdTile) {
-  for (const unsigned tile : {2u, 8u, 16u, 64u}) {
-    ScopedEnv s("ISSRTL_SIMD_TILE", std::to_string(tile).c_str());
-    EXPECT_EQ(options_from_env().simd_tile, tile);
-  }
-  {
-    ScopedEnv s("ISSRTL_SIMD_TILE", "auto");  // CPUID dispatch
-    EngineOptions base;
-    base.simd_tile = 16;
-    EXPECT_EQ(options_from_env(base).simd_tile, 0u);
-  }
-  {
-    ScopedEnv s("ISSRTL_SIMD_TILE", "0");  // numeric spelling of auto
-    EXPECT_EQ(options_from_env().simd_tile, 0u);
-  }
-  {
-    ScopedEnv s("ISSRTL_SIMD_TILE", nullptr);
-    EngineOptions base;
-    base.simd_tile = 8;
-    EXPECT_EQ(options_from_env(base).simd_tile, 8u);  // unset: untouched
-  }
-  // Non-power-of-two, too small, too large, trailing junk, non-numeric.
-  for (const char* v : {"3", "1", "65", "128", "16x", "wide", "-8"}) {
-    ScopedEnv s("ISSRTL_SIMD_TILE", v);
-    EXPECT_THROW(options_from_env(), std::invalid_argument) << v;
+// The knobs of the deleted lane-pool and staged-pipeline schedulers fail
+// loudly, by name, whatever their value: a script still setting one must
+// not silently get the serial engine it did not ask for.
+TEST(Engine, OptionsFromEnvRejectsRemovedSchedulerKnobs) {
+  for (const char* name :
+       {"ISSRTL_BATCH", "ISSRTL_SIMD", "ISSRTL_SIMD_TILE",
+        "ISSRTL_SIMD_MIN_LIVE", "ISSRTL_REFILL", "ISSRTL_VECEVAL",
+        "ISSRTL_PIPELINE", "ISSRTL_PREFETCH_DEPTH"}) {
+    for (const char* v : {"0", "1", "16", "auto"}) {
+      ScopedEnv k(name, v);
+      try {
+        options_from_env();
+        FAIL() << "expected std::invalid_argument for " << name << "=" << v;
+      } catch (const std::invalid_argument& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(name), std::string::npos) << what;
+        EXPECT_NE(what.find("removed"), std::string::npos) << what;
+      }
+    }
+    {
+      ScopedEnv k(name, "");  // empty counts as unset, like every knob
+      EXPECT_NO_THROW(options_from_env()) << name;
+    }
   }
 }
 
@@ -649,70 +606,15 @@ TEST(Engine, OptionsFromEnvParsesDeadline) {
   }
 }
 
-TEST(Engine, OptionsFromEnvParsesPipeline) {
-  {
-    ScopedEnv p("ISSRTL_PIPELINE", "0");
-    EXPECT_FALSE(options_from_env().pipeline);
-  }
-  {
-    ScopedEnv p("ISSRTL_PIPELINE", "1");
-    EXPECT_TRUE(options_from_env().pipeline);
-  }
-  {
-    ScopedEnv p("ISSRTL_PIPELINE", nullptr);
-    EngineOptions base;
-    base.pipeline = false;
-    EXPECT_FALSE(options_from_env(base).pipeline);  // unset: untouched
-  }
-  for (const char* v : {"2", "staged", "-1", "true", "01x", " 1"}) {
-    ScopedEnv p("ISSRTL_PIPELINE", v);
-    try {
-      options_from_env();
-      FAIL() << "expected std::invalid_argument for '" << v << "'";
-    } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find("ISSRTL_PIPELINE"),
-                std::string::npos)
-          << e.what();
-    }
-  }
-}
-
-TEST(Engine, OptionsFromEnvParsesPrefetchDepth) {
-  {
-    ScopedEnv d("ISSRTL_PREFETCH_DEPTH", "8");
-    EXPECT_EQ(options_from_env().prefetch_depth, 8u);
-  }
-  {
-    ScopedEnv d("ISSRTL_PREFETCH_DEPTH", "1");  // the minimum legal depth
-    EXPECT_EQ(options_from_env().prefetch_depth, 1u);
-  }
-  {
-    ScopedEnv d("ISSRTL_PREFETCH_DEPTH", nullptr);
-    EngineOptions base;
-    base.prefetch_depth = 5;
-    EXPECT_EQ(options_from_env(base).prefetch_depth, 5u);  // unset: untouched
-  }
-  // 0 would deadlock a bounded queue and 65 is past the documented cap —
-  // both are range errors, not schedule choices.
-  for (const char* v : {"0", "65", "4x", "abc", "-2", " 4", "0x4"}) {
-    ScopedEnv d("ISSRTL_PREFETCH_DEPTH", v);
-    EXPECT_THROW(options_from_env(), std::invalid_argument) << v;
-  }
-}
-
 TEST(Engine, OptionsFromEnvValidatesFailSiteEagerly) {
   {
     ScopedEnv f("ISSRTL_FAIL_SITE", "3:once,7");
     EXPECT_EQ(options_from_env().fail_sites, "3:once,7");
   }
-  {
-    ScopedEnv f("ISSRTL_FAIL_SITE", "3:once:classify,7:step");
-    EXPECT_EQ(options_from_env().fail_sites, "3:once:classify,7:step");
-  }
   // A typo'd hook must fail at option parse time, by variable name — not
   // silently inject (or fail to inject) faults mid-campaign.
   for (const char* v : {"a", "3:twice", "3,", ",3", "3::once", "-1", ":once",
-                        "3:bogus", "3:arm:step", "3:classify:"}) {
+                        "3:bogus", "3:once:once", "3:once:"}) {
     ScopedEnv f("ISSRTL_FAIL_SITE", v);
     EXPECT_THROW(options_from_env(), std::invalid_argument) << v;
   }
@@ -723,29 +625,20 @@ TEST(Engine, ParseFailSitesSpec) {
   const FailSiteSpec s = parse_fail_sites("3:once,7");
   ASSERT_NE(s.find(3), nullptr);
   EXPECT_TRUE(s.find(3)->once);
-  EXPECT_EQ(s.find(3)->stage, FailStage::kArm);  // default stage
   ASSERT_NE(s.find(7), nullptr);
   EXPECT_FALSE(s.find(7)->once);
   EXPECT_EQ(s.find(5), nullptr);
 }
 
-TEST(Engine, ParseFailSitesStageTags) {
-  const FailSiteSpec s =
-      parse_fail_sites("1:restore,2:arm,3:step,4:classify:once,5");
-  ASSERT_NE(s.find(1), nullptr);
-  EXPECT_EQ(s.find(1)->stage, FailStage::kRestore);
-  ASSERT_NE(s.find(2), nullptr);
-  EXPECT_EQ(s.find(2)->stage, FailStage::kArm);
-  ASSERT_NE(s.find(3), nullptr);
-  EXPECT_EQ(s.find(3)->stage, FailStage::kStep);
-  ASSERT_NE(s.find(4), nullptr);
-  EXPECT_EQ(s.find(4)->stage, FailStage::kClassify);
-  EXPECT_TRUE(s.find(4)->once);  // tags compose in any order
-  ASSERT_NE(s.find(5), nullptr);
-  EXPECT_EQ(s.find(5)->stage, FailStage::kArm);
-  // At most one stage tag per site: a second one is a conflict, not a
-  // last-wins override.
-  EXPECT_THROW(parse_fail_sites("3:restore:classify"), std::invalid_argument);
+// The stage tags of the deleted staged pipeline are gone with it: the throw
+// always fires right after the fault is armed.
+TEST(Engine, ParseFailSitesRejectsStageTags) {
+  for (const char* v : {"1:restore", "2:arm", "3:step", "4:classify",
+                        "4:classify:once", "4:once:classify"}) {
+    EXPECT_THROW(parse_fail_sites(v), std::invalid_argument) << v;
+    ScopedEnv f("ISSRTL_FAIL_SITE", v);
+    EXPECT_THROW(options_from_env(), std::invalid_argument) << v;
+  }
 }
 
 TEST(Engine, AccumulatorMergeMatchesSequential) {

@@ -351,5 +351,58 @@ TEST(Report, AddRowRejectsRowsWiderThanHeader) {
   EXPECT_NE(s.find("| 1 |"), std::string::npos);
 }
 
+// ---- Wilson 95% intervals ----------------------------------------------------
+
+TEST(Wilson, PinsFiveOfSixty) {
+  const PfInterval ci = wilson95(5, 60);
+  EXPECT_NEAR(ci.lo, 0.0361, 5e-4);
+  EXPECT_NEAR(ci.hi, 0.1807, 5e-4);
+  EXPECT_EQ(pf_with_ci(5.0 / 60.0, ci), "8.3% [3.6%, 18.1%]");
+}
+
+TEST(Wilson, NoSamplesIsTheWholeRange) {
+  // n = 0 carries no information: the interval is [0, 1], and the printed
+  // Pf of an empty campaign (0.0 by CampaignStats::pf) says so.
+  const PfInterval ci = wilson95(0, 0);
+  EXPECT_EQ(ci.lo, 0.0);
+  EXPECT_EQ(ci.hi, 1.0);
+  const CampaignStats empty;
+  EXPECT_EQ(pf_with_ci(empty.pf(), empty.pf_ci95()), "0.0% [0.0%, 100.0%]");
+}
+
+TEST(Wilson, BoundsStayInsideUnitIntervalAndBracketTheEstimate) {
+  for (const std::size_t n : {1u, 2u, 7u, 60u, 1000u}) {
+    for (std::size_t k = 0; k <= n; k += (n / 7 + 1)) {
+      const PfInterval ci = wilson95(k, n);
+      const double p = static_cast<double>(k) / static_cast<double>(n);
+      EXPECT_GE(ci.lo, 0.0) << k << "/" << n;
+      EXPECT_LE(ci.hi, 1.0) << k << "/" << n;
+      EXPECT_LE(ci.lo, p + 1e-12) << k << "/" << n;
+      EXPECT_GE(ci.hi, p - 1e-12) << k << "/" << n;
+    }
+  }
+  EXPECT_EQ(wilson95(0, 60).lo, 0.0);
+  EXPECT_EQ(wilson95(60, 60).hi, 1.0);
+}
+
+TEST(Wilson, StatsIntervalsUseThePfDenominator) {
+  // Engine errors leave the denominator of pf() and of its interval alike;
+  // hangs count as detected failures in the RTL stats.
+  CampaignStats s;
+  s.runs = 62;
+  s.errors = 2;
+  s.failures = 3;
+  s.hangs = 2;
+  const PfInterval rtl = s.pf_ci95();
+  EXPECT_DOUBLE_EQ(rtl.lo, wilson95(5, 60).lo);
+  EXPECT_DOUBLE_EQ(rtl.hi, wilson95(5, 60).hi);
+  IssCampaignStats i;
+  i.runs = 61;
+  i.errors = 1;
+  i.failures = 5;
+  EXPECT_DOUBLE_EQ(i.pf_ci95().lo, wilson95(5, 60).lo);
+  EXPECT_DOUBLE_EQ(i.pf_ci95().hi, wilson95(5, 60).hi);
+}
+
 }  // namespace
 }  // namespace issrtl::fault

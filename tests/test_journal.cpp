@@ -1,15 +1,14 @@
 // Durability-layer tests: crash-and-resume determinism of the write-ahead
-// outcome journal (kill points including mid-batch and mid-compaction
-// retirement orders, torn and corrupted records), graceful shutdown via the
-// cooperative stop flag and the wall-clock deadline, and worker fault
-// isolation (the ISSRTL_FAIL_SITE throw hook exercising the retry →
-// kEngineError path on the serial, batched and SIMD schedulers).
+// outcome journal (kill points before any record, mid-run and inside a torn
+// append, plus corrupted records), graceful shutdown via the cooperative
+// stop flag and the wall-clock deadline, and worker fault isolation (the
+// ISSRTL_FAIL_SITE throw hook exercising the retry → kEngineError path) —
+// on both backends, serial and threaded.
 //
 // The load-bearing claim everywhere: a campaign interrupted at ANY point
-// and resumed under ANY (threads, batch, SIMD) configuration merges into a
-// result bit-identical — outcomes, latencies, fault::outcome_hash — to an
-// uninterrupted run, because per-site records depend only on the site and
-// the golden run.
+// and resumed at ANY thread count merges into a result bit-identical —
+// outcomes, latencies, fault::outcome_hash — to an uninterrupted run,
+// because per-site records depend only on the site and the golden run.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -118,12 +117,9 @@ void expect_identical(const CampaignResult& a, const CampaignResult& b) {
 }
 
 EngineOptions journal_opts(const std::string& dir, bool resume,
-                           unsigned threads = 1, unsigned batch = 1,
-                           bool simd = true) {
+                           unsigned threads = 1) {
   EngineOptions opts;
   opts.threads = threads;
-  opts.batch_lanes = batch;
-  opts.simd_lanes = simd;
   opts.journal_dir = dir;
   opts.resume = resume;
   return opts;
@@ -208,11 +204,28 @@ TEST(Journal, DifferentCampaignKeysUseDifferentFiles) {
 
 // ---- crash-and-resume determinism -------------------------------------------
 
+/// Kill points: before any site retired, mid-campaign, and a torn append
+/// (the crash window between fwrite and the next fflush).
+struct Cut {
+  const char* tag;
+  std::size_t records;  ///< intact records kept
+  bool torn;            ///< append half of the next record, no newline
+};
+constexpr Cut kCuts[] = {{"header", 0, false}, {"mid", 8, false},
+                         {"torn", 16, true}};
+
+/// The journal `lines` (header first) as a crash at `cut` leaves them.
+std::string cut_journal(const std::vector<std::string>& lines, const Cut& cut) {
+  std::string content = join_lines(lines, 1 + cut.records);
+  if (cut.torn) content += lines[1 + cut.records].substr(0, 30);
+  return content;
+}
+
 // The acceptance matrix: a campaign killed at several journal cut points —
-// including cuts of a batched/SIMD run's retirement order, i.e. mid-batch
-// and mid-compaction crashes — and resumed under every (threads, batch,
-// SIMD) combination must be bit-identical to the uninterrupted run.
-TEST(JournalResume, KillPointsTimesScheduleMatrix) {
+// of a 3-thread run, whose record order interleaves the shards — and
+// resumed serially or threaded must be bit-identical to the uninterrupted
+// run.
+TEST(JournalResume, KillPointsTimesThreads) {
   const auto prog = small_workload();
   const auto cfg = small_cfg();
 
@@ -221,53 +234,38 @@ TEST(JournalResume, KillPointsTimesScheduleMatrix) {
   ASSERT_EQ(ref.runs.size(), 24u);
   EXPECT_FALSE(ref.truncated);
 
-  // Produce a complete journal under the batched SIMD scheduler with 3
-  // threads: the file's record order is the pool's retirement order, so a
-  // prefix of it is exactly what a crash mid-batch / mid-compaction leaves.
+  // Produce a complete journal with 3 threads: the file's record order is
+  // the shards' interleaved retirement order, so a prefix of it is exactly
+  // what a crash mid-run leaves.
   const std::string full_dir = scratch_dir("full");
   const CampaignResult journaled =
-      run_rtl_campaign(prog, cfg, {}, journal_opts(full_dir, false, 3, 32, true));
+      run_rtl_campaign(prog, cfg, {}, journal_opts(full_dir, false, 3));
   expect_identical(ref, journaled);
   const fs::path full_file = journal_file_in(full_dir);
   const auto lines = read_lines(full_file);
   ASSERT_EQ(lines.size(), 25u);  // header + 24 records
 
-  struct Cut {
-    const char* tag;
-    std::size_t records;  ///< intact records kept
-    bool torn;            ///< append half of the next record, no newline
-  };
-  // Kill points: before any site retired, mid-campaign, and a torn append
-  // (the crash window between fwrite and the next fflush).
-  const Cut cuts[] = {{"header", 0, false}, {"mid", 8, false}, {"torn", 16, true}};
-
-  for (const Cut& cut : cuts) {
-    std::string content = join_lines(lines, 1 + cut.records);
-    if (cut.torn) content += lines[1 + cut.records].substr(0, 30);
+  for (const Cut& cut : kCuts) {
+    const std::string content = cut_journal(lines, cut);
     for (const unsigned threads : {1u, 3u}) {
-      for (const unsigned batch : {1u, 32u}) {
-        for (const bool simd : {true, false}) {
-          const std::string tag = std::string(cut.tag) + "_t" +
-                                  std::to_string(threads) + "_b" +
-                                  std::to_string(batch) + (simd ? "_s1" : "_s0");
-          const std::string dir = scratch_dir(tag);
-          write_file(fs::path(dir) / full_file.filename(), content);
-          const CampaignResult r = run_rtl_campaign(
-              prog, cfg, {}, journal_opts(dir, true, threads, batch, simd));
-          SCOPED_TRACE(tag);
-          expect_identical(ref, r);
-          EXPECT_FALSE(r.truncated);
-          EXPECT_EQ(r.completed_sites, 24u);
-          EXPECT_EQ(r.replay.journal_hits, cut.records);
-          if (cut.torn) EXPECT_GE(r.replay.journal_dropped, 1u);
-          // The resumed run's journal is complete again: a second resume
-          // imports everything.
-          const CampaignResult again =
-              run_rtl_campaign(prog, cfg, {}, journal_opts(dir, true));
-          expect_identical(ref, again);
-          EXPECT_EQ(again.replay.journal_hits, 24u);
-        }
-      }
+      const std::string tag =
+          std::string(cut.tag) + "_t" + std::to_string(threads);
+      const std::string dir = scratch_dir(tag);
+      write_file(fs::path(dir) / full_file.filename(), content);
+      const CampaignResult r =
+          run_rtl_campaign(prog, cfg, {}, journal_opts(dir, true, threads));
+      SCOPED_TRACE(tag);
+      expect_identical(ref, r);
+      EXPECT_FALSE(r.truncated);
+      EXPECT_EQ(r.completed_sites, 24u);
+      EXPECT_EQ(r.replay.journal_hits, cut.records);
+      if (cut.torn) EXPECT_GE(r.replay.journal_dropped, 1u);
+      // The resumed run's journal is complete again: a second resume
+      // imports everything.
+      const CampaignResult again =
+          run_rtl_campaign(prog, cfg, {}, journal_opts(dir, true));
+      expect_identical(ref, again);
+      EXPECT_EQ(again.replay.journal_hits, 24u);
     }
   }
 }
@@ -339,20 +337,22 @@ TEST(Shutdown, StopFlagTruncatesThenResumeCompletes) {
   // The journal holds what completed; a resumed run finishes the rest and
   // merges bit-identically.
   const CampaignResult resumed =
-      run_rtl_campaign(prog, cfg, {}, journal_opts(dir, true, 3, 32, true));
+      run_rtl_campaign(prog, cfg, {}, journal_opts(dir, true, 3));
   expect_identical(ref, resumed);
   EXPECT_FALSE(resumed.truncated);
   EXPECT_EQ(resumed.replay.journal_hits, cut.completed_sites);
 }
 
-TEST(Shutdown, StopFlagTruncatesBatchedScheduler) {
+// A stop observed by one shard stops them all (the latch is campaign-wide);
+// each shard finishes only the site it was running.
+TEST(Shutdown, StopFlagTruncatesThreadedRun) {
   const auto prog = small_workload();
   const auto cfg = small_cfg();
   const CampaignResult ref = run_rtl_campaign(prog, cfg, {}, {});
 
-  const std::string dir = scratch_dir("stop_batched");
+  const std::string dir = scratch_dir("stop_threaded");
   std::atomic<bool> stop{false};
-  EngineOptions opts = journal_opts(dir, false, 1, 8, true);
+  EngineOptions opts = journal_opts(dir, false, 3);
   opts.stop = &stop;
   opts.progress_stride = 1;
   opts.on_progress = [&stop](const EngineProgress& p) {
@@ -438,23 +438,20 @@ TEST(FaultIsolation, TransientThrowRetriesToIdenticalResult) {
   EXPECT_EQ(r.replay.sites_engine_error, 0u);
 }
 
-// Every retirement path of the batched scheduler must contain the throw:
-// spawn-time (SIMD refill and scalar drain), mid-flight eval rounds, and
-// the retry re-spawn behind the cursor.
-TEST(FaultIsolation, BatchedAndSimdSchedulersContainThrows) {
+// Throws stay contained to their site at every thread count: a persistent
+// one classifies kEngineError, a :once one retries to the reference record.
+TEST(FaultIsolation, ThrowsContainedAtThreads) {
   const auto prog = small_workload();
   const auto cfg = small_cfg();
   const CampaignResult ref = run_rtl_campaign(prog, cfg, {}, {});
 
-  for (const bool simd : {true, false}) {
+  for (const unsigned threads : {1u, 3u}) {
     for (const char* spec : {"3", "3:once", "0,9:once,17"}) {
       EngineOptions opts;
-      opts.threads = 1;
-      opts.batch_lanes = 8;
-      opts.simd_lanes = simd;
+      opts.threads = threads;
       opts.fail_sites = spec;
       const CampaignResult r = run_rtl_campaign(prog, cfg, {}, opts);
-      SCOPED_TRACE(std::string(spec) + (simd ? " simd" : " scalar"));
+      SCOPED_TRACE(std::string(spec) + " threads " + std::to_string(threads));
       ASSERT_EQ(r.runs.size(), ref.runs.size());
       const FailSiteSpec parsed = parse_fail_sites(spec);
       std::size_t expect_errors = 0;
@@ -495,36 +492,77 @@ TEST(FaultIsolation, EngineErrorSitesJournalAndResume) {
 
 // ---- ISS backend ------------------------------------------------------------
 
-TEST(IssJournal, ResumeMergesBitIdentically) {
+TEST(IssJournal, KillPointsTimesThreads) {
   const auto prog = small_workload();
   fault::IssCampaignConfig cfg;
-  cfg.samples = 40;
+  cfg.samples = 20;
   cfg.models = {iss::IssFaultModel::kStuckAt1, iss::IssFaultModel::kBitFlip};
   const auto ref = run_iss_campaign_engine(prog, cfg, {});
+  ASSERT_EQ(ref.runs.size(), 40u);
 
-  const std::string dir = scratch_dir("iss");
-  run_iss_campaign_engine(prog, cfg, journal_opts(dir, false));
-  const fs::path file = journal_file_in(dir);
-  const auto lines = read_lines(file);
+  const std::string full_dir = scratch_dir("iss_full");
+  run_iss_campaign_engine(prog, cfg, journal_opts(full_dir, false, 3));
+  const fs::path full_file = journal_file_in(full_dir);
+  const auto lines = read_lines(full_file);
   ASSERT_EQ(lines.size(), 1u + ref.runs.size());
-  // Kill mid-campaign: keep half the records.
-  write_file(file, join_lines(lines, 1 + ref.runs.size() / 2));
 
-  const auto r =
-      run_iss_campaign_engine(prog, cfg, journal_opts(dir, true, 3));
+  for (const Cut& cut : kCuts) {
+    const std::string content = cut_journal(lines, cut);
+    for (const unsigned threads : {1u, 3u}) {
+      const std::string tag =
+          std::string("iss_") + cut.tag + "_t" + std::to_string(threads);
+      const std::string dir = scratch_dir(tag);
+      write_file(fs::path(dir) / full_file.filename(), content);
+      const auto r =
+          run_iss_campaign_engine(prog, cfg, journal_opts(dir, true, threads));
+      SCOPED_TRACE(tag);
+      ASSERT_EQ(r.runs.size(), ref.runs.size());
+      for (std::size_t i = 0; i < r.runs.size(); ++i) {
+        EXPECT_EQ(r.runs[i].failure, ref.runs[i].failure) << i;
+        EXPECT_EQ(r.runs[i].latent, ref.runs[i].latent) << i;
+        EXPECT_EQ(r.runs[i].latency_instr, ref.runs[i].latency_instr) << i;
+        EXPECT_FALSE(r.runs[i].engine_error) << i;
+      }
+      EXPECT_FALSE(r.truncated);
+      EXPECT_EQ(r.replay.journal_hits, cut.records);
+      if (cut.torn) EXPECT_GE(r.replay.journal_dropped, 1u);
+      ASSERT_EQ(r.per_model.size(), ref.per_model.size());
+      for (std::size_t m = 0; m < r.per_model.size(); ++m) {
+        EXPECT_EQ(r.per_model[m].failures, ref.per_model[m].failures);
+        EXPECT_EQ(r.per_model[m].latent, ref.per_model[m].latent);
+      }
+    }
+  }
+}
+
+TEST(IssJournal, StopFlagTruncatesThenResumeCompletes) {
+  const auto prog = small_workload();
+  fault::IssCampaignConfig cfg;
+  cfg.samples = 20;
+  cfg.models = {iss::IssFaultModel::kBitFlip};
+  const auto ref = run_iss_campaign_engine(prog, cfg, {});
+
+  const std::string dir = scratch_dir("iss_stop");
+  std::atomic<bool> stop{false};
+  EngineOptions opts = journal_opts(dir, false, 3);
+  opts.stop = &stop;
+  opts.progress_stride = 1;
+  opts.on_progress = [&stop](const EngineProgress& p) {
+    if (p.completed >= 3) stop.store(true, std::memory_order_relaxed);
+  };
+  const auto cut = run_iss_campaign_engine(prog, cfg, opts);
+  EXPECT_TRUE(cut.truncated);
+  EXPECT_GE(cut.completed_sites, 3u);
+  EXPECT_LT(cut.completed_sites, cut.total_sites);
+
+  const auto r = run_iss_campaign_engine(prog, cfg, journal_opts(dir, true));
+  EXPECT_FALSE(r.truncated);
+  EXPECT_EQ(r.replay.journal_hits, cut.completed_sites);
   ASSERT_EQ(r.runs.size(), ref.runs.size());
   for (std::size_t i = 0; i < r.runs.size(); ++i) {
     EXPECT_EQ(r.runs[i].failure, ref.runs[i].failure) << i;
     EXPECT_EQ(r.runs[i].latent, ref.runs[i].latent) << i;
     EXPECT_EQ(r.runs[i].latency_instr, ref.runs[i].latency_instr) << i;
-    EXPECT_FALSE(r.runs[i].engine_error) << i;
-  }
-  EXPECT_EQ(r.replay.journal_hits, ref.runs.size() / 2);
-  ASSERT_EQ(r.per_model.size(), ref.per_model.size());
-  for (std::size_t m = 0; m < r.per_model.size(); ++m) {
-    EXPECT_EQ(r.per_model[m].failures, ref.per_model[m].failures);
-    EXPECT_EQ(r.per_model[m].latent, ref.per_model[m].latent);
-    EXPECT_DOUBLE_EQ(r.per_model[m].pf(), ref.per_model[m].pf());
   }
 }
 
@@ -535,24 +573,30 @@ TEST(IssJournal, FailSiteIsolatesOneSite) {
   cfg.models = {iss::IssFaultModel::kBitFlip};
   const auto ref = run_iss_campaign_engine(prog, cfg, {});
 
-  EngineOptions opts;
-  opts.threads = 1;
-  opts.fail_sites = "2,11:once";
-  const auto r = run_iss_campaign_engine(prog, cfg, opts);
-  ASSERT_EQ(r.runs.size(), ref.runs.size());
-  for (std::size_t i = 0; i < r.runs.size(); ++i) {
-    if (i == 2) {
-      EXPECT_TRUE(r.runs[i].engine_error);
-      EXPECT_NE(r.runs[i].error.find("ISSRTL_FAIL_SITE"), std::string::npos);
-    } else {
-      EXPECT_FALSE(r.runs[i].engine_error) << i;
-      EXPECT_EQ(r.runs[i].failure, ref.runs[i].failure) << i;
-      EXPECT_EQ(r.runs[i].latency_instr, ref.runs[i].latency_instr) << i;
+  for (const unsigned threads : {1u, 3u}) {
+    SCOPED_TRACE(threads);
+    EngineOptions opts;
+    opts.threads = threads;
+    opts.fail_sites = "2,11:once";
+    const auto r = run_iss_campaign_engine(prog, cfg, opts);
+    ASSERT_EQ(r.runs.size(), ref.runs.size());
+    for (std::size_t i = 0; i < r.runs.size(); ++i) {
+      if (i == 2) {
+        EXPECT_TRUE(r.runs[i].engine_error);
+        EXPECT_NE(r.runs[i].error.find("ISSRTL_FAIL_SITE"), std::string::npos);
+        // The retry's attempt number is part of the record.
+        EXPECT_NE(r.runs[i].error.find("(attempt 2)"), std::string::npos)
+            << r.runs[i].error;
+      } else {
+        EXPECT_FALSE(r.runs[i].engine_error) << i;
+        EXPECT_EQ(r.runs[i].failure, ref.runs[i].failure) << i;
+        EXPECT_EQ(r.runs[i].latency_instr, ref.runs[i].latency_instr) << i;
+      }
     }
+    EXPECT_EQ(r.replay.sites_retried, 2u);
+    EXPECT_EQ(r.replay.sites_engine_error, 1u);
+    EXPECT_EQ(r.per_model[0].errors, 1u);
   }
-  EXPECT_EQ(r.replay.sites_retried, 2u);
-  EXPECT_EQ(r.replay.sites_engine_error, 1u);
-  EXPECT_EQ(r.per_model[0].errors, 1u);
 }
 
 }  // namespace
