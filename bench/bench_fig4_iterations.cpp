@@ -12,7 +12,7 @@ int main() {
   bench::banner("Figure 4: rspeed with 2/4/10 iterations (stuck-at-1 @ IU)",
                 "Espinosa et al., DAC 2015, Fig. 4 (a) and (b)");
 
-  fault::TextTable t({"run", "Pf", "max latency (cycles)",
+  fault::TextTable t({"run", "Pf [95% CI]", "max latency (cycles)",
                       "mean latency (cycles)", "golden cycles"});
   double pf_min = 1.0, pf_max = 0.0;
   u64 lat_first = 0, lat_last = 0;
@@ -31,7 +31,7 @@ int main() {
     if (iters == 2) lat_first = s.max_latency;
     lat_last = s.max_latency;
     t.add_row({"rspeed" + std::to_string(iters),
-               fault::TextTable::pct(s.pf()),
+               bench::pf_cell(s),
                std::to_string(s.max_latency),
                fault::TextTable::num(s.mean_latency, 0),
                std::to_string(r.golden_cycles)});

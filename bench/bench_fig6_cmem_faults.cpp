@@ -24,13 +24,12 @@ int main() {
       auto_max = std::max(auto_max, sa1);
     }
     t.add_row({name, synth ? "synthetic" : "automotive",
-               fault::TextTable::pct(sa1),
-               fault::TextTable::pct(
-                   r.stats_for(rtl::FaultModel::kStuckAt0).pf()),
-               fault::TextTable::pct(
-                   r.stats_for(rtl::FaultModel::kOpenLine).pf())});
+               bench::pf_cell(r.stats_for(rtl::FaultModel::kStuckAt1)),
+               bench::pf_cell(r.stats_for(rtl::FaultModel::kStuckAt0)),
+               bench::pf_cell(r.stats_for(rtl::FaultModel::kOpenLine))});
   }
-  std::printf("%s\n", t.render().c_str());
+  std::printf("%s(Pf per fault model, with its 95%% Wilson interval)\n\n",
+              t.render().c_str());
   std::printf("automotive SA1 band at CMEM: %.1f%%..%.1f%% (near-constant "
               "across the automotive set, as in the paper)\n",
               auto_min * 100.0, auto_max * 100.0);

@@ -20,18 +20,17 @@ int main() {
   for (const auto& n : workloads::excerpt_set_a()) points.push_back(n);
   for (const auto& n : workloads::excerpt_set_b()) points.push_back(n);
 
-  fault::TextTable t({"workload", "diversity D", "Pf"});
+  fault::TextTable t({"workload", "diversity D", "Pf [95% CI]"});
   std::vector<double> xs, ys;
   for (const auto& name : points) {
     const auto prog = workloads::build(
         name, {.iterations = bench::campaign_iters(), .data_seed = 1});
     const auto div = core::analyze_diversity(prog);
     const auto r = bench::campaign(name, "iu", {rtl::FaultModel::kStuckAt1});
-    const double pf = r.stats_for(rtl::FaultModel::kStuckAt1).pf();
+    const fault::CampaignStats& s = r.stats_for(rtl::FaultModel::kStuckAt1);
     xs.push_back(div.diversity);
-    ys.push_back(pf);
-    t.add_row({name, std::to_string(div.diversity),
-               fault::TextTable::pct(pf)});
+    ys.push_back(s.pf());
+    t.add_row({name, std::to_string(div.diversity), bench::pf_cell(s)});
   }
   std::printf("%s\n", t.render().c_str());
 

@@ -76,6 +76,12 @@ inline void banner(const char* what, const char* paper_ref) {
   std::printf("==============================================================\n");
 }
 
+/// A table cell for one model's Pf with its 95% Wilson interval, e.g.
+/// "8.3% [3.6%, 18.1%]".
+inline std::string pf_cell(const fault::CampaignStats& s) {
+  return fault::pf_with_ci(s.pf(), s.pf_ci95());
+}
+
 /// Run one campaign with the bench-wide knobs applied, on the parallel
 /// engine (ISSRTL_THREADS workers; identical results at any thread count).
 inline fault::CampaignResult campaign(const std::string& workload,

@@ -214,7 +214,8 @@ int main(int argc, char** argv) try {
               static_cast<unsigned long long>(r.golden_instret));
   std::printf("replay: ladder %llu rungs (%.1f KiB, %llu evicted), restores "
               "%llu ladder / %llu rolling / %llu cold, fast-forward %llu "
-              "cycles, %llu convergence cutoffs\n",
+              "cycles, %llu convergence cutoffs, activation oracle %llu "
+              "candidates / %llu silent / %llu scan cycles\n",
               static_cast<unsigned long long>(r.replay.ladder_rungs),
               r.replay.ladder_bytes / 1024.0,
               static_cast<unsigned long long>(r.replay.ladder_evicted),
@@ -222,7 +223,11 @@ int main(int argc, char** argv) try {
               static_cast<unsigned long long>(r.replay.rolling_restores),
               static_cast<unsigned long long>(r.replay.cold_resets),
               static_cast<unsigned long long>(r.replay.fast_forward_cycles),
-              static_cast<unsigned long long>(r.replay.convergence_cutoffs));
+              static_cast<unsigned long long>(r.replay.convergence_cutoffs),
+              static_cast<unsigned long long>(r.replay.activation_candidates),
+              static_cast<unsigned long long>(r.replay.activation_silent),
+              static_cast<unsigned long long>(
+                  r.replay.activation_scan_cycles));
   if (r.replay.journal_hits != 0 || r.replay.journal_dropped != 0 ||
       r.replay.sites_retried != 0 || r.replay.sites_engine_error != 0) {
     std::printf("durability: %llu journal hits (%llu dropped), "

@@ -123,6 +123,8 @@ int help() {
       "                      injects a worker fault at site i\n"
       "\n"
       "Pf is printed with its 95% Wilson interval, e.g. 8.3% [3.6%, 18.1%].\n"
+      "The outcome_hash=<hex> line is a fingerprint of every record;\n"
+      "it is equal at any thread count and ladder stride.\n"
       "\n"
       "SIGINT/SIGTERM during a campaign stop it gracefully: the sites in\n"
       "flight finish, the journal is flushed, and the partial result is\n"
@@ -272,7 +274,8 @@ int cmd_campaign(const std::string& name, const std::string& unit,
   const fault::ReplayCounters& rc = r.replay;
   std::printf("replay: ladder %llu rungs (%.1f KiB, %llu evicted), restores "
               "%llu ladder / %llu rolling / %llu cold, fast-forward %llu "
-              "cycles, %llu convergence cutoffs\n",
+              "cycles, %llu convergence cutoffs, activation oracle %llu "
+              "candidates / %llu silent / %llu scan cycles\n",
               (unsigned long long)rc.ladder_rungs,
               rc.ladder_bytes / 1024.0,
               (unsigned long long)rc.ladder_evicted,
@@ -280,7 +283,14 @@ int cmd_campaign(const std::string& name, const std::string& unit,
               (unsigned long long)rc.rolling_restores,
               (unsigned long long)rc.cold_resets,
               (unsigned long long)rc.fast_forward_cycles,
-              (unsigned long long)rc.convergence_cutoffs);
+              (unsigned long long)rc.convergence_cutoffs,
+              (unsigned long long)rc.activation_candidates,
+              (unsigned long long)rc.activation_silent,
+              (unsigned long long)rc.activation_scan_cycles);
+  // Schedule-invariant fingerprint of every record: equal at any thread
+  // count and ladder stride.
+  std::printf("outcome_hash=%016llx\n",
+              (unsigned long long)fault::outcome_hash(r));
   if (rc.journal_hits != 0 || rc.journal_dropped != 0 ||
       rc.sites_retried != 0 || rc.sites_engine_error != 0) {
     std::printf("durability: %llu journal hits (%llu dropped), "

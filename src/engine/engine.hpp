@@ -103,8 +103,12 @@ struct EngineOptions {
   /// instant with state bit-identical to the golden rung and every off-core
   /// write matched so far: from identical state, the remainder of the run
   /// is provably identical to the golden run, so outcome, latency and halt
-  /// are already decided. Permanent faults never take this path (their
-  /// armed overlay keeps perturbing the state). Requires the ladder.
+  /// are already decided. Requires the ladder. Permanent faults cannot
+  /// take this cut-off, because their armed overlay stays in the state;
+  /// their shortcut is the RTL backend's activation oracle
+  /// (RtlCampaignBackend::never_activated), which classifies a stuck-at or
+  /// open-line site whose bit never leaves the stuck value without
+  /// simulating it, whatever this flag says.
   bool converge_cutoff = true;
   /// Called (serialised) as injections finish; every worker reports at
   /// least every `progress_stride` completed sites.

@@ -140,6 +140,8 @@ class CheckpointLadder {
   }
 
   std::size_t rung_count() const noexcept { return rungs_.size(); }
+  /// Every rung, ascending by instant.
+  const std::deque<Rung>& rungs() const noexcept { return rungs_; }
   std::size_t total_bytes() const noexcept { return total_bytes_; }
   /// Rungs dropped so far, by either eviction tier.
   u64 evicted_count() const noexcept { return evicted_; }

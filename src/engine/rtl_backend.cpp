@@ -252,6 +252,96 @@ RtlCampaignBackend::Record RtlCampaignBackend::error_record(
   return r;
 }
 
+bool RtlCampaignBackend::oracle_applies(
+    const fault::FaultSite& s) const noexcept {
+  // Mixed fidelity transplants the prefix, so the faulty run does not start
+  // from the golden state; a watchdog below the golden length would end
+  // even the golden run as a hang.
+  if (opts_.mixed_fidelity || watchdog_ < golden_cycles_) return false;
+  return s.model == rtl::FaultModel::kStuckAt0 ||
+         s.model == rtl::FaultModel::kStuckAt1 ||
+         s.model == rtl::FaultModel::kOpenLine;
+}
+
+bool RtlCampaignBackend::never_activated(std::size_t i) const {
+  if (!oracle_applies(sites_.at(i))) return false;
+  std::call_once(activation_once_, [this] { build_activation_table(); });
+  return never_activated_[i] != 0;
+}
+
+void RtlCampaignBackend::build_activation_table() const {
+  never_activated_.assign(sites_.size(), 0);
+  // A prefix never steps past the golden halt, so a later instant arms
+  // there.
+  const auto instant = [this](std::size_t i) {
+    return std::min(sites_[i].inject_cycle, golden_cycles_);
+  };
+  // Rung filter: a rung at or after the instant whose bit is off the stuck
+  // value (for open-line: off the first such rung's value) is a golden
+  // boundary value that activates the fault, so only sites that agree with
+  // every later rung are worth a replay.
+  const auto& rungs = ladder_.rungs();
+  std::vector<std::size_t> cands;
+  for (std::size_t i = 0; i < sites_.size(); ++i) {
+    const fault::FaultSite& s = sites_[i];
+    if (!oracle_applies(s)) continue;
+    auto it = std::lower_bound(
+        rungs.begin(), rungs.end(), s.inject_cycle,
+        [](const auto& r, u64 t) { return r.instant < t; });
+    const u32 mask = 1u << s.bit;
+    u32 want = s.model == rtl::FaultModel::kStuckAt1 ? mask : 0;
+    if (s.model == rtl::FaultModel::kOpenLine && it != rungs.end()) {
+      want = it->snap->core.node_values[s.node] & mask;
+    }
+    bool same = true;
+    for (; same && it != rungs.end(); ++it) {
+      same = (it->snap->core.node_values[s.node] & mask) == want;
+    }
+    if (same) cands.push_back(i);
+  }
+  activation_candidates_ = cands.size();
+  if (cands.empty()) return;
+  std::stable_sort(cands.begin(), cands.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return instant(a) < instant(b);
+                   });
+
+  // Replay the golden run from the rung at or below the earliest instant,
+  // arming each candidate's watch at its instant, until every watch has
+  // activated or the run halts.
+  Memory mem;
+  rtlcore::Leon3Core core(mem, core_cfg_);
+  if (const auto* rung = ladder_.best_at_or_below(instant(cands.front()))) {
+    core.restore(rung->snap->core, golden_trace_, rung->snap->writes,
+                 rung->snap->reads);
+    mem = rung->snap->mem.clone();
+  } else {
+    mem = initial_mem_.clone();
+    core.reset(prog_.entry);
+  }
+  rtl::SimContext& sim = core.sim();
+  std::vector<std::size_t> handles(cands.size());
+  std::size_t armed = 0;
+  u64 stepped = 0;
+  for (;;) {
+    while (armed < cands.size() && instant(cands[armed]) == core.cycles()) {
+      const fault::FaultSite& s = sites_[cands[armed]];
+      handles[armed++] = sim.watch_activation(s.node, s.model, s.bit);
+    }
+    if ((armed == cands.size() && sim.watches_pending() == 0) ||
+        core.halt_reason() != iss::HaltReason::kRunning) {
+      break;
+    }
+    core.step();
+    ++stepped;
+    sim.sweep_watches();
+  }
+  for (std::size_t k = 0; k < armed; ++k) {
+    never_activated_[cands[k]] = sim.activated(handles[k]) ? 0 : 1;
+  }
+  activation_scan_cycles_ = stepped;
+}
+
 RtlCampaignBackend::Worker::Worker(const RtlCampaignBackend& backend,
                                    unsigned /*shard*/)
     : b_(backend), core_(mem_, backend.core_cfg_) {}
@@ -375,6 +465,16 @@ u64 RtlCampaignBackend::Worker::prepare_mixed(u64 inject_cycle) {
 fault::InjectionResult RtlCampaignBackend::Worker::run_site(
     std::size_t index) {
   const fault::FaultSite site = b_.sites_[index];
+  if (b_.never_activated(index)) {
+    // The faulty run is the golden run: nothing to position or step.
+    maybe_fail_site(b_.fail_spec_, fail_attempts_, index);
+    b_.activation_silent_.fetch_add(1, std::memory_order_relaxed);
+    fault::InjectionResult result;
+    result.site = site;
+    result.outcome = fault::Outcome::kSilent;
+    result.halt = iss::HaltReason::kHalted;
+    return result;
+  }
   u64 inject_ref = site.inject_cycle;
   if (b_.opts_.mixed_fidelity) {
     inject_ref = prepare_mixed(site.inject_cycle);
@@ -524,6 +624,9 @@ fault::CampaignResult RtlCampaignBackend::finish(EngineRun<Record> run) const {
   result.replay.cold_resets = cold_resets_.load();
   result.replay.fast_forward_cycles = fast_forward_cycles_.load();
   result.replay.convergence_cutoffs = convergence_cutoffs_.load();
+  result.replay.activation_candidates = activation_candidates_;
+  result.replay.activation_silent = activation_silent_.load();
+  result.replay.activation_scan_cycles = activation_scan_cycles_;
   result.replay.journal_hits = run.journal_hits;
   result.replay.journal_dropped = run.journal_dropped;
   result.replay.sites_retried = run.sites_retried;

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -82,6 +83,15 @@ class RtlCampaignBackend {
   /// Outcome::kEngineError carrying the exception text.
   Record error_record(std::size_t i, const std::string& what) const;
 
+  /// Activation oracle: true when site `i` is a stuck-at or open-line
+  /// fault whose bit never differs from the stuck value in any value a
+  /// consumer can read, from its instant to the golden halt. Its faulty
+  /// run is the golden run, so its record is {kSilent, kHalted, latency 0}
+  /// without simulating it. Builds the backend's table on first use (one
+  /// golden-suffix replay, thread-safe); always false under mixed
+  /// fidelity and for transient and bridge faults.
+  bool never_activated(std::size_t i) const;
+
   /// One per worker thread: owns a core + memory and a rolling golden-prefix
   /// checkpoint; restores whichever of {rolling checkpoint, ladder rung} is
   /// closest below each injection instant.
@@ -91,7 +101,9 @@ class RtlCampaignBackend {
     /// Restore the golden prefix, arm the site's fault, step the faulty
     /// suffix under the per-cycle monitor (early stop on a definite write
     /// divergence, convergence cut-off at ladder rungs, hang fast-forward)
-    /// and classify the outcome against the golden run.
+    /// and classify the outcome against the golden run. A site the
+    /// activation oracle proves never activated returns the golden record
+    /// without any of that.
     Record run_site(std::size_t index);
 
    private:
@@ -155,6 +167,13 @@ class RtlCampaignBackend {
  private:
   friend class Worker;
 
+  /// Whether the activation oracle may decide site `s` (see
+  /// never_activated()).
+  bool oracle_applies(const fault::FaultSite& s) const noexcept;
+  /// Fill never_activated_: filter the oracle's sites by the ladder rungs,
+  /// then replay the golden run under an rtl::SimContext activation watch.
+  void build_activation_table() const;
+
   isa::Program prog_;
   fault::CampaignConfig cfg_;
   rtlcore::CoreConfig core_cfg_;
@@ -189,6 +208,12 @@ class RtlCampaignBackend {
   mutable std::atomic<u64> cold_resets_{0};
   mutable std::atomic<u64> fast_forward_cycles_{0};
   mutable std::atomic<u64> convergence_cutoffs_{0};
+  mutable std::atomic<u64> activation_silent_{0};
+  // Activation oracle table, built once by the first permanent site.
+  mutable std::once_flag activation_once_;
+  mutable std::vector<u8> never_activated_;  ///< site-indexed
+  mutable u64 activation_candidates_ = 0;
+  mutable u64 activation_scan_cycles_ = 0;
 };
 
 /// Full engine-backed RTL campaign. fault::run_campaign is the serial thin

@@ -159,6 +159,12 @@ struct ReplayCounters {
   u64 cold_resets = 0;         ///< resumes that had to re-simulate from 0
   u64 fast_forward_cycles = 0; ///< fault-free instants stepped after restore
   u64 convergence_cutoffs = 0; ///< transient runs proven silent at a rung
+  // Activation oracle (permanent RTL faults; see
+  // engine::RtlCampaignBackend::never_activated):
+  u64 activation_candidates = 0;  ///< sites left by the rung filter
+  u64 activation_silent = 0;      ///< sites classified with zero simulated
+                                  ///  cycles
+  u64 activation_scan_cycles = 0; ///< golden cycles the scan replayed
   // Durability / robustness events (see engine/journal.hpp and the
   // worker-isolation retry in CampaignEngine::run; zero on a clean,
   // journal-less run):

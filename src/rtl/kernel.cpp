@@ -114,6 +114,85 @@ void SimContext::write_slow(NodeId id, u32 masked) noexcept {
     cur_[id] = masked;
   }
   if (flags_[id] & kFlagBridgeSrc) refresh_bridges_from(id);
+  if (flags_[id] & kFlagWatch) {
+    const std::size_t slot = watch_slot_[id];
+    const u32 off = watched_[slot].off(cur_[id]);
+    if (off != 0) activate_watches(slot, off);
+  }
+}
+
+std::size_t SimContext::watch_activation(NodeId id, FaultModel model, u8 bit) {
+  if (bit >= width(id)) {
+    throw std::out_of_range("watch_activation: bit out of range");
+  }
+  const u32 mask = 1u << bit;
+  u32 want = 0;
+  switch (model) {
+    case FaultModel::kStuckAt0: want = 0; break;
+    case FaultModel::kStuckAt1: want = mask; break;
+    case FaultModel::kOpenLine: want = cur_[id] & mask; break;
+    case FaultModel::kTransientBitFlip:
+    case FaultModel::kBridge:
+      throw std::invalid_argument(
+          "watch_activation: only stuck-at and open-line faults persist");
+  }
+  const std::size_t handle = watches_.size();
+  watches_.push_back(Watch{mask, want, (cur_[id] & mask) != want});
+  if (watches_.back().hit) return handle;  // the boundary value differs
+  if (!(flags_[id] & kFlagWatch)) {
+    if (watch_slot_.size() < meta_.size()) watch_slot_.resize(meta_.size());
+    watch_slot_[id] = watched_.size();
+    watched_.push_back(WatchedNode{id, 0, 0});
+    watch_pending_.emplace_back();
+    flags_[id] |= kFlagWatch;
+  }
+  const std::size_t slot = watch_slot_[id];
+  (want != 0 ? watched_[slot].want1 : watched_[slot].want0) |= mask;
+  watch_pending_[slot].push_back(handle);
+  ++watches_pending_;
+  return handle;
+}
+
+void SimContext::activate_watches(std::size_t slot, u32 off) noexcept {
+  // Activate the handles whose bit moved and rebuild the expectation from
+  // the rest (a node holds a handful of watches, so this stays cheap).
+  WatchedNode& w = watched_[slot];
+  std::vector<std::size_t>& pending = watch_pending_[slot];
+  w.want0 = 0;
+  w.want1 = 0;
+  std::size_t kept = 0;
+  for (const std::size_t h : pending) {
+    Watch& watch = watches_[h];
+    if ((watch.mask & off) != 0) {
+      watch.hit = true;
+      --watches_pending_;
+    } else {
+      (watch.want != 0 ? w.want1 : w.want0) |= watch.mask;
+      pending[kept++] = h;
+    }
+  }
+  pending.resize(kept);
+  if (kept != 0) return;
+  flags_[w.id] &= static_cast<u8>(~kFlagWatch);
+  if (slot + 1 != watched_.size()) {
+    watched_[slot] = watched_.back();
+    watch_pending_[slot] = std::move(watch_pending_.back());
+    watch_slot_[watched_[slot].id] = slot;
+  }
+  watched_.pop_back();
+  watch_pending_.pop_back();
+}
+
+void SimContext::sweep_watches() noexcept {
+  // Branch-free scan first: in the common cycle nothing moved.
+  u32 any = 0;
+  for (const WatchedNode& w : watched_) any |= w.off(cur_[w.id]);
+  if (any == 0) return;
+  // Backwards, so activate_watches' swap-remove never skips a slot.
+  for (std::size_t slot = watched_.size(); slot-- > 0;) {
+    const u32 off = watched_[slot].off(cur_[watched_[slot].id]);
+    if (off != 0) activate_watches(slot, off);
+  }
 }
 
 void SimContext::refresh_bridges_from(NodeId aggressor) noexcept {

@@ -265,12 +265,43 @@ class SimContext {
   /// std::invalid_argument on a size mismatch.
   void load_values(const std::vector<u32>& values);
 
+  // ---- activation watch (fault-free golden-run analysis) ----
+  //
+  // A permanent fault of `model` on (node, bit) armed at the current cycle
+  // boundary is *activated* once any value of the node a consumer can read
+  // has the bit differing from the stuck value v: the boundary value
+  // itself, a write-through (w()/poke(), which includes every write to a
+  // wire within a cycle) or a clock-edge commit. A run whose fault is never
+  // activated is the fault-free run, cycle for cycle. Watched nodes carry a
+  // flag bit, so their write-throughs take the existing slow path; commits
+  // are checked by sweep_watches(), which the caller runs after every
+  // step. The fast paths (Sig::w/n, commit_all) pay nothing.
+
+  /// Start watching (id, bit) for a `model` fault armed now. v is 0/1 for
+  /// stuck-at and the bit's current value for open-line (what arm_fault
+  /// would freeze). A boundary value already off v activates the watch
+  /// on the spot. Returns the watch handle. Throws std::invalid_argument
+  /// for transient and bridge models, std::out_of_range for a bad bit.
+  std::size_t watch_activation(NodeId id, FaultModel model, u8 bit);
+
+  /// Whether watch `handle` has seen its bit leave v since it was set.
+  bool activated(std::size_t handle) const { return watches_.at(handle).hit; }
+
+  /// Watches still waiting for an activation.
+  std::size_t watches_pending() const noexcept { return watches_pending_; }
+
+  /// Check every pending watch against the node's current value — call
+  /// after each clock edge so register commits are observed.
+  void sweep_watches() noexcept;
+
  private:
   friend class Sig;
 
-  // flags_ bits: the node carries an armed overlay / is a bridge aggressor.
+  // flags_ bits: the node carries an armed overlay / is a bridge aggressor /
+  // has a pending activation watch.
   static constexpr u8 kFlagOverlay = 1;
   static constexpr u8 kFlagBridgeSrc = 2;
+  static constexpr u8 kFlagWatch = 4;
 
   struct NodeMeta {
     std::string name;
@@ -287,8 +318,8 @@ class SimContext {
 
   void check_id(NodeId id) const { (void)meta_.at(id); }
 
-  // Hot per-node write: fast path is two stores; only armed nodes and
-  // bridge aggressors (flags != 0) take the overlay slow path.
+  // Hot per-node write: fast path is two stores; only armed nodes, bridge
+  // aggressors and watched nodes (flags != 0) take the slow path.
   void write_at(NodeId id, u32 v) noexcept {
     v &= mask_[id];
     if (flags_[id] != 0) [[unlikely]] {
@@ -304,7 +335,30 @@ class SimContext {
     sparse_dirty_.push_back(id);
   }
 
+  /// One activation watch: bit `mask` of the node must keep reading `want`.
+  struct Watch {
+    u32 mask = 0;
+    u32 want = 0;
+    bool hit = false;
+  };
+
+  /// A node with pending watches: the union of their expectations (bits in
+  /// want0 must read 0, bits in want1 must read 1). Kept small and flat so
+  /// the per-cycle sweep is a tight branch-free loop.
+  struct WatchedNode {
+    NodeId id = 0;
+    u32 want0 = 0;
+    u32 want1 = 0;
+    /// Watched bits that `value` has off their expected value.
+    u32 off(u32 value) const noexcept {
+      return (value & want0) | (~value & want1);
+    }
+  };
+
   void write_slow(NodeId id, u32 masked) noexcept;
+  /// Activate the pending watches of watched_[slot] on the bits in `off`;
+  /// drops the slot once none is left.
+  void activate_watches(std::size_t slot, u32 off) noexcept;
   void reapply_overlays() noexcept;
   void refresh_bridges_from(NodeId aggressor) noexcept;
   u32 apply_overlay(const ArmedFault& f) const noexcept;
@@ -331,6 +385,14 @@ class SimContext {
   /// Pending sparse-register commits, drained by commit_all().
   std::vector<NodeId> sparse_dirty_;
   bool sparse_pending_ = false;  ///< next make() call is a sparse register
+
+  // Activation watches (empty unless watch_activation() was called).
+  std::vector<Watch> watches_;            ///< indexed by handle
+  std::vector<WatchedNode> watched_;      ///< nodes with pending watches
+  /// Pending watch handles of each watched_ entry (same index).
+  std::vector<std::vector<std::size_t>> watch_pending_;
+  std::vector<std::size_t> watch_slot_;   ///< NodeId -> watched_ index
+  std::size_t watches_pending_ = 0;
 };
 
 inline u32 Sig::r() const noexcept { return ctx_->cur_[id_]; }

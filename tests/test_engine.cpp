@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <set>
 #include <stdexcept>
 #include <string>
 
@@ -218,6 +219,139 @@ TEST(Engine, ResultsBitIdenticalToPreRefactorBaseline) {
           << threads << " threads, stride " << stride;
     }
   }
+}
+
+// ---- activation oracle ------------------------------------------------------
+
+// Permanent faults on the whole design (iu and cmem), every permanent model,
+// two uniformly drawn instants per site.
+CampaignConfig oracle_cfg() {
+  CampaignConfig cfg;
+  cfg.unit_prefix = "";
+  cfg.samples = 40;
+  cfg.models = {FaultModel::kStuckAt0, FaultModel::kStuckAt1,
+                FaultModel::kOpenLine};
+  cfg.inject_time = fault::InjectTime::kUniformRandom;
+  cfg.instants_per_site = 2;
+  return cfg;
+}
+
+// Every site the oracle classifies without simulating it, re-simulated from
+// reset on a bare core with its fault armed, is indistinguishable from the
+// golden run: same halt cycle, writes, architectural state and memory.
+TEST(ActivationOracle, ClassifiedSitesAreSilentFromReset) {
+  const auto prog = small_workload();
+  const CampaignConfig cfg = oracle_cfg();
+  EngineOptions opts;
+  opts.threads = 2;
+  RtlCampaignBackend backend(prog, cfg, {}, opts);
+  CampaignEngine engine(opts);
+  const CampaignResult r = backend.finish(engine.run(backend));
+  ASSERT_EQ(r.runs.size(), backend.site_count());
+
+  Memory golden_mem;
+  rtlcore::Leon3Core golden(golden_mem);
+  golden.load(prog);
+  ASSERT_EQ(golden.run(), iss::HaltReason::kHalted);
+
+  std::size_t oracle = 0;
+  std::set<std::string> units;
+  std::set<FaultModel> models;
+  for (std::size_t i = 0; i < backend.site_count(); ++i) {
+    if (!backend.never_activated(i)) continue;
+    ++oracle;
+    const fault::FaultSite& site = backend.sites()[i];
+    const fault::InjectionResult& rec = r.runs[i];
+    units.insert(rec.unit.substr(0, rec.unit.find('.')));
+    models.insert(site.model);
+    EXPECT_EQ(rec.outcome, fault::Outcome::kSilent) << i;
+    EXPECT_EQ(rec.latency_cycles, 0u) << i;
+    EXPECT_EQ(rec.halt, iss::HaltReason::kHalted) << i;
+
+    Memory mem;
+    rtlcore::Leon3Core core(mem);
+    core.load(prog);
+    while (core.cycles() < site.inject_cycle &&
+           core.halt_reason() == iss::HaltReason::kRunning) {
+      core.step();
+    }
+    core.sim().arm_fault(site.node, site.model, site.bit);
+    SCOPED_TRACE(rec.node_name + " bit " + std::to_string(site.bit) + " @" +
+                 std::to_string(site.inject_cycle));
+    EXPECT_EQ(core.run(2 * golden.cycles()), iss::HaltReason::kHalted);
+    EXPECT_EQ(core.cycles(), golden.cycles());
+    EXPECT_EQ(core.offcore().writes().size(), golden.offcore().writes().size());
+    EXPECT_FALSE(core.offcore().compare_writes(golden.offcore()).diverged);
+    EXPECT_EQ(core.arch_state(), golden.arch_state());
+    EXPECT_TRUE(core.memory().equals(golden_mem));
+  }
+  EXPECT_GT(oracle, 0u);
+  EXPECT_LT(oracle, backend.site_count());
+  EXPECT_EQ(units, (std::set<std::string>{"cmem", "iu"}));
+  // Stuck-at-1 sites rarely stay unactivated here: most bits idle at 0.
+  EXPECT_EQ(models.count(FaultModel::kStuckAt0), 1u);
+  EXPECT_EQ(models.count(FaultModel::kOpenLine), 1u);
+  EXPECT_EQ(r.replay.activation_silent, oracle);
+  EXPECT_GE(r.replay.activation_candidates, oracle);
+  EXPECT_GT(r.replay.activation_scan_cycles, 0u);
+}
+
+// The oracle leaves every record schedule-invariant: the same hash at any
+// thread count and ladder stride (the rung filter differs per stride; stride
+// 0 scans every permanent site), and the same sites classified.
+TEST(ActivationOracle, HashInvariantAcrossThreadsAndStride) {
+  const auto prog = small_workload();
+  const CampaignConfig cfg = oracle_cfg();
+  u64 ref_hash = 0;
+  u64 ref_silent = 0;
+  bool have_ref = false;
+  for (const unsigned threads : {1u, 3u}) {
+    for (const u64 stride : {u64{0}, kLadderStrideAuto, u64{977}}) {
+      EngineOptions opts;
+      opts.threads = threads;
+      opts.ladder_stride = stride;
+      const CampaignResult r = run_rtl_campaign(prog, cfg, {}, opts);
+      SCOPED_TRACE(std::to_string(threads) + " threads, stride " +
+                   std::to_string(stride));
+      if (!have_ref) {
+        ref_hash = fault::outcome_hash(r);
+        ref_silent = r.replay.activation_silent;
+        have_ref = true;
+      }
+      EXPECT_EQ(fault::outcome_hash(r), ref_hash);
+      EXPECT_EQ(r.replay.activation_silent, ref_silent);
+      EXPECT_GT(r.replay.activation_silent, 0u);
+      if (stride == 0) {
+        EXPECT_EQ(r.replay.activation_candidates, r.runs.size());
+      }
+    }
+  }
+}
+
+// Mixed fidelity and transient faults never reach the oracle.
+TEST(ActivationOracle, OffUnderMixedFidelityAndForTransients) {
+  const auto prog = small_workload();
+  CampaignConfig cfg = oracle_cfg();
+  cfg.samples = 12;
+  EngineOptions mixed;
+  mixed.threads = 1;
+  mixed.mixed_fidelity = true;
+  const CampaignResult m = run_rtl_campaign(prog, cfg, {}, mixed);
+  EXPECT_EQ(m.replay.activation_candidates, 0u);
+  EXPECT_EQ(m.replay.activation_silent, 0u);
+  EXPECT_EQ(m.replay.activation_scan_cycles, 0u);
+
+  cfg.models = {FaultModel::kTransientBitFlip};
+  EngineOptions opts;
+  opts.threads = 1;
+  RtlCampaignBackend backend(prog, cfg, {}, opts);
+  CampaignEngine engine(opts);
+  const CampaignResult t = backend.finish(engine.run(backend));
+  for (std::size_t i = 0; i < backend.site_count(); ++i) {
+    EXPECT_FALSE(backend.never_activated(i)) << i;
+  }
+  EXPECT_EQ(t.replay.activation_candidates, 0u);
+  EXPECT_EQ(t.replay.activation_silent, 0u);
 }
 
 // ---- checkpoint correctness -------------------------------------------------

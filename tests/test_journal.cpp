@@ -471,6 +471,57 @@ TEST(FaultIsolation, ThrowsContainedAtThreads) {
   }
 }
 
+// A site the activation oracle classifies without simulating still passes
+// through the isolation hook: a persistent throw makes it kEngineError, a
+// :once throw retries to the same silent record.
+TEST(FaultIsolation, OracleClassifiedSiteStillIsolated) {
+  const auto prog = small_workload();
+  CampaignConfig cfg;
+  cfg.unit_prefix = "cmem";
+  cfg.samples = 24;
+  cfg.models = {FaultModel::kStuckAt0};
+  cfg.inject_time = fault::InjectTime::kUniformRandom;
+  EngineOptions opts;
+  opts.threads = 1;
+  std::size_t site = 0;
+  {
+    const RtlCampaignBackend backend(prog, cfg, {}, opts);
+    while (site < backend.site_count() && !backend.never_activated(site)) {
+      ++site;
+    }
+    ASSERT_LT(site, backend.site_count()) << "no oracle-classified site";
+  }
+  const CampaignResult ref = run_rtl_campaign(prog, cfg, {}, opts);
+  ASSERT_EQ(ref.runs[site].outcome, Outcome::kSilent);
+
+  for (const unsigned threads : {1u, 3u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    EngineOptions failing = opts;
+    failing.threads = threads;
+    failing.fail_sites = std::to_string(site);
+    const CampaignResult r = run_rtl_campaign(prog, cfg, {}, failing);
+    ASSERT_EQ(r.runs.size(), ref.runs.size());
+    for (std::size_t i = 0; i < r.runs.size(); ++i) {
+      if (i == site) {
+        EXPECT_EQ(r.runs[i].outcome, Outcome::kEngineError);
+        EXPECT_NE(r.runs[i].error.find("ISSRTL_FAIL_SITE"), std::string::npos)
+            << r.runs[i].error;
+      } else {
+        EXPECT_EQ(r.runs[i].outcome, ref.runs[i].outcome) << i;
+        EXPECT_EQ(r.runs[i].latency_cycles, ref.runs[i].latency_cycles) << i;
+      }
+    }
+    EXPECT_EQ(r.replay.sites_retried, 1u);
+    EXPECT_EQ(r.replay.sites_engine_error, 1u);
+
+    failing.fail_sites = std::to_string(site) + ":once";
+    const CampaignResult once = run_rtl_campaign(prog, cfg, {}, failing);
+    expect_identical(ref, once);
+    EXPECT_EQ(once.replay.sites_retried, 1u);
+    EXPECT_EQ(once.replay.sites_engine_error, 0u);
+  }
+}
+
 TEST(FaultIsolation, EngineErrorSitesJournalAndResume) {
   // kEngineError records round-trip through the journal like any other
   // outcome — a resume must not retry them behind the user's back.

@@ -209,6 +209,142 @@ TEST(Kernel, FindNodeUsesFirstRegistration) {
   EXPECT_FALSE(ctx.find_node("nonexistent").has_value());
 }
 
+// ---- activation watch -------------------------------------------------------
+
+/// One clock edge as the RTL core runs it, followed by the watch sweep.
+void clock(SimContext& ctx) {
+  ctx.commit_all();
+  ctx.sweep_watches();
+}
+
+TEST(ActivationWatch, RegisterActivatesAtCommit) {
+  SimContext ctx;
+  Sig r = ctx.reg("r", "iu.special", 32);
+  Sig s = ctx.reg_sparse("rf", "iu.regfile", 32);
+  const std::size_t hr =
+      ctx.watch_activation(r.id(), FaultModel::kStuckAt0, 3);
+  const std::size_t hs =
+      ctx.watch_activation(s.id(), FaultModel::kStuckAt1, 0);
+  EXPECT_TRUE(ctx.activated(hs));  // boundary value 0 is already off 1
+  EXPECT_FALSE(ctx.activated(hr));
+  r.n(0x8);
+  ctx.sweep_watches();  // a scheduled next value is not visible yet
+  EXPECT_FALSE(ctx.activated(hr));
+  clock(ctx);
+  EXPECT_TRUE(ctx.activated(hr));
+  EXPECT_EQ(ctx.watches_pending(), 0u);
+
+  // A sparse register's commit is observed the same way.
+  s.ns(1);
+  clock(ctx);
+  const std::size_t hs0 =
+      ctx.watch_activation(s.id(), FaultModel::kStuckAt1, 0);
+  EXPECT_FALSE(ctx.activated(hs0));
+  s.ns(2);
+  clock(ctx);
+  EXPECT_TRUE(ctx.activated(hs0));
+}
+
+TEST(ActivationWatch, WireWrittenTwiceInOneCycleActivates) {
+  SimContext ctx;
+  Sig w = ctx.wire("w", "iu.alu", 32);
+  const std::size_t h =
+      ctx.watch_activation(w.id(), FaultModel::kStuckAt0, 2);
+  w.w(0x4);  // a consumer reading now sees bit 2 high...
+  w.w(0x0);  // ...even though the cycle ends with it low again
+  clock(ctx);
+  EXPECT_EQ(w.r(), 0u);
+  EXPECT_TRUE(ctx.activated(h));
+}
+
+TEST(ActivationWatch, OpenLineCapturesValueAtArm) {
+  SimContext ctx;
+  Sig w = ctx.wire("w", "iu.alu", 32);
+  w.w(0x10);
+  const std::size_t h =
+      ctx.watch_activation(w.id(), FaultModel::kOpenLine, 4);
+  const std::size_t low =
+      ctx.watch_activation(w.id(), FaultModel::kOpenLine, 0);
+  EXPECT_FALSE(ctx.activated(h));
+  EXPECT_FALSE(ctx.activated(low));
+  w.w(0x13);  // bit 4 still high; bit 0 leaves its captured 0
+  clock(ctx);
+  EXPECT_FALSE(ctx.activated(h));
+  EXPECT_TRUE(ctx.activated(low));
+  w.w(0x03);
+  EXPECT_TRUE(ctx.activated(h));
+}
+
+TEST(ActivationWatch, TwoSitesOnOneNodeWithDifferentInstants) {
+  SimContext ctx;
+  Sig r = ctx.reg("r", "iu.special", 32);
+  r.poke(0x1);
+  // Site A arms at cycle 0; bit 0 drops at cycle 1 and recovers at cycle 2.
+  const std::size_t a =
+      ctx.watch_activation(r.id(), FaultModel::kStuckAt1, 0);
+  r.n(0x0);
+  clock(ctx);
+  EXPECT_TRUE(ctx.activated(a));
+  r.n(0x1);
+  clock(ctx);
+  // Site B arms at cycle 2 on the same bit: A's activation predates it.
+  const std::size_t b =
+      ctx.watch_activation(r.id(), FaultModel::kStuckAt1, 0);
+  const std::size_t c =
+      ctx.watch_activation(r.id(), FaultModel::kStuckAt0, 5);
+  for (int i = 0; i < 4; ++i) {
+    r.n(0x1 | (i << 1 & 0x1E));  // bits 1..4 move, bits 0 and 5 do not
+    clock(ctx);
+  }
+  EXPECT_FALSE(ctx.activated(b));
+  EXPECT_FALSE(ctx.activated(c));
+  EXPECT_EQ(ctx.watches_pending(), 2u);
+  // Site D joins B on bit 0 at cycle 6; a later drop activates both, and
+  // only them.
+  const std::size_t d =
+      ctx.watch_activation(r.id(), FaultModel::kStuckAt1, 0);
+  r.n(0x0);
+  clock(ctx);
+  EXPECT_TRUE(ctx.activated(b));
+  EXPECT_TRUE(ctx.activated(d));
+  EXPECT_FALSE(ctx.activated(c));
+  EXPECT_EQ(ctx.watches_pending(), 1u);
+}
+
+TEST(ActivationWatch, BitHeldAtStuckValueNeverActivates) {
+  SimContext ctx;
+  Sig r = ctx.reg("r", "iu.special", 32);
+  Sig w = ctx.wire("w", "iu.alu", 32);
+  const std::size_t hr =
+      ctx.watch_activation(r.id(), FaultModel::kStuckAt0, 7);
+  const std::size_t hw =
+      ctx.watch_activation(w.id(), FaultModel::kStuckAt1, 31);
+  EXPECT_TRUE(ctx.activated(hw));  // boundary value 0 is off 1
+  const std::size_t hw0 =
+      ctx.watch_activation(w.id(), FaultModel::kStuckAt0, 31);
+  for (u32 i = 0; i < 64; ++i) {
+    w.w(i * 0x01010101u & 0x7FFFFFFFu);
+    r.n(i & 0x7F);
+    clock(ctx);
+  }
+  EXPECT_FALSE(ctx.activated(hr));
+  EXPECT_FALSE(ctx.activated(hw0));
+  EXPECT_EQ(ctx.watches_pending(), 2u);
+}
+
+TEST(ActivationWatch, Validation) {
+  SimContext ctx;
+  Sig w = ctx.wire("w", "iu.alu", 4);
+  EXPECT_THROW(ctx.watch_activation(w.id(), FaultModel::kStuckAt0, 4),
+               std::out_of_range);
+  EXPECT_THROW(ctx.watch_activation(w.id(), FaultModel::kTransientBitFlip, 0),
+               std::invalid_argument);
+  EXPECT_THROW(ctx.watch_activation(w.id(), FaultModel::kBridge, 0),
+               std::invalid_argument);
+  EXPECT_THROW(ctx.watch_activation(7, FaultModel::kStuckAt0, 0),
+               std::out_of_range);
+}
+
 TEST(Vcd, ProducesParsableFile) {
   SimContext ctx;
   Sig a = ctx.wire("alu_res", "iu.alu", 32);
