@@ -10,6 +10,9 @@
 //                                            the parallel engine (threads=0
 //                                            uses all hardware threads;
 //                                            results identical at any count)
+//   issrtl_cli iss-campaign <workload> <model> <samples> [threads]
+//                                            ISS register-file campaign on
+//                                            the same engine
 //   issrtl_cli avf <workload>                register-file AVF
 //   issrtl_cli asm <file.s>                  assemble + run a text program
 //   issrtl_cli nodes [unit]                  list injectable RTL nodes
@@ -24,8 +27,10 @@
 
 #include "core/avf.hpp"
 #include "core/diversity.hpp"
+#include "engine/iss_backend.hpp"
 #include "engine/rtl_backend.hpp"
 #include "fault/campaign.hpp"
+#include "fault/iss_campaign.hpp"
 #include "fault/report.hpp"
 #include "isa/asm_parser.hpp"
 #include "isa/disasm.hpp"
@@ -52,6 +57,7 @@ int usage() {
       "  disasm <wl> | campaign <wl> <iu|cmem|''> <sa0|sa1|open|flip> <n> "
       "[threads] [instants] [window]\n"
       "      [--journal=DIR] [--resume] [--deadline-ms=N] [--mixed]\n"
+      "  iss-campaign <wl> <sa0|sa1|open|flip> <n> [threads]\n"
       "  avf <wl> | asm <file.s> | nodes [unit] | help\n"
       "run 'issrtl_cli help' for the full flag and environment reference\n");
   return kExitUsage;
@@ -84,12 +90,19 @@ int help() {
       "                  bug-compatible [1, golden/2] draw that keeps\n"
       "                  historical fault lists bit-identical) or 'full'\n"
       "                  ([1, golden] — covers late-pipeline/drain states)\n"
+      "  iss-campaign <wl> <model> <n> [threads]\n"
+      "                            ISS register-file campaign on the same\n"
+      "                            engine: <n> sampled (physical register,\n"
+      "                            bit, instant) sites of <model> (sa0 | sa1\n"
+      "                            | open | flip); the campaign environment\n"
+      "                            below applies, ladder strides counting\n"
+      "                            instructions\n"
       "  avf <wl>                  register-file AVF\n"
       "  asm <file.s>              assemble + run a text program\n"
       "  nodes [unit]              list injectable RTL nodes\n"
       "  help | --help | -h        this reference\n"
       "\n"
-      "environment (campaign command):\n"
+      "environment (campaign and iss-campaign commands):\n"
       "  ISSRTL_THREADS      worker threads when [threads] is absent\n"
       "                      (0 = all hardware threads)\n"
       "  ISSRTL_CKPT_STRIDE  checkpoint-ladder rung spacing in cycles;\n"
@@ -122,7 +135,10 @@ int help() {
       "  ISSRTL_FAIL_SITE    test hook: '<i>' or '<i>:once' (comma list)\n"
       "                      injects a worker fault at site i\n"
       "\n"
-      "Pf is printed with its 95% Wilson interval, e.g. 8.3% [3.6%, 18.1%].\n"
+      "Pf is printed with its 95%% Wilson interval, e.g. 8.3%% [3.6%%, 18.1%%].\n"
+      "The replay: line ends with the activation-oracle counters: sites\n"
+      "watched, classified silent and latent without simulation, and the\n"
+      "golden cycles (iss-campaign: instructions) the oracle's scan replayed.\n"
       "The outcome_hash=<hex> line is a fingerprint of every record;\n"
       "it is equal at any thread count and ladder stride.\n"
       "\n"
@@ -227,6 +243,49 @@ struct CampaignFlags {
   }
 };
 
+/// The replay-economics line shared by both campaign commands; `instants`
+/// names the backend's time unit.
+void print_replay(const fault::ReplayCounters& rc, const char* instants) {
+  std::printf("replay: ladder %llu rungs (%.1f KiB, %llu evicted), restores "
+              "%llu ladder / %llu rolling / %llu cold, fast-forward %llu "
+              "%s, %llu convergence cutoffs, activation oracle %llu "
+              "candidates / %llu silent / %llu latent / %llu scan %s\n",
+              (unsigned long long)rc.ladder_rungs,
+              rc.ladder_bytes / 1024.0,
+              (unsigned long long)rc.ladder_evicted,
+              (unsigned long long)rc.ladder_restores,
+              (unsigned long long)rc.rolling_restores,
+              (unsigned long long)rc.cold_resets,
+              (unsigned long long)rc.fast_forward_cycles, instants,
+              (unsigned long long)rc.convergence_cutoffs,
+              (unsigned long long)rc.activation_candidates,
+              (unsigned long long)rc.activation_silent,
+              (unsigned long long)rc.activation_latent,
+              (unsigned long long)rc.activation_scan_cycles, instants);
+}
+
+/// The durability line (only when something happened) and the truncation
+/// banner shared by both campaign commands; returns the exit code.
+int print_tail(const fault::ReplayCounters& rc, bool truncated,
+               std::size_t completed, std::size_t total) {
+  if (rc.journal_hits != 0 || rc.journal_dropped != 0 ||
+      rc.sites_retried != 0 || rc.sites_engine_error != 0) {
+    std::printf("durability: %llu journal hits (%llu dropped), "
+                "%llu sites retried, %llu engine errors\n",
+                (unsigned long long)rc.journal_hits,
+                (unsigned long long)rc.journal_dropped,
+                (unsigned long long)rc.sites_retried,
+                (unsigned long long)rc.sites_engine_error);
+  }
+  if (truncated) {
+    std::printf("TRUNCATED: %zu/%zu sites completed; re-run with "
+                "--journal=DIR --resume to finish\n",
+                completed, total);
+    return kExitRuntime;
+  }
+  return 0;
+}
+
 int cmd_campaign(const std::string& name, const std::string& unit,
                  const std::string& model, std::size_t samples,
                  unsigned threads, std::size_t instants,
@@ -271,42 +330,40 @@ int cmd_campaign(const std::string& name, const std::string& unit,
               fault::pf_with_ci(s.pf(), s.pf_ci95()).c_str(), s.failures,
               s.hangs,
               s.latent, s.silent, s.errors, (unsigned long long)s.max_latency);
-  const fault::ReplayCounters& rc = r.replay;
-  std::printf("replay: ladder %llu rungs (%.1f KiB, %llu evicted), restores "
-              "%llu ladder / %llu rolling / %llu cold, fast-forward %llu "
-              "cycles, %llu convergence cutoffs, activation oracle %llu "
-              "candidates / %llu silent / %llu scan cycles\n",
-              (unsigned long long)rc.ladder_rungs,
-              rc.ladder_bytes / 1024.0,
-              (unsigned long long)rc.ladder_evicted,
-              (unsigned long long)rc.ladder_restores,
-              (unsigned long long)rc.rolling_restores,
-              (unsigned long long)rc.cold_resets,
-              (unsigned long long)rc.fast_forward_cycles,
-              (unsigned long long)rc.convergence_cutoffs,
-              (unsigned long long)rc.activation_candidates,
-              (unsigned long long)rc.activation_silent,
-              (unsigned long long)rc.activation_scan_cycles);
+  print_replay(r.replay, "cycles");
   // Schedule-invariant fingerprint of every record: equal at any thread
   // count and ladder stride.
   std::printf("outcome_hash=%016llx\n",
               (unsigned long long)fault::outcome_hash(r));
-  if (rc.journal_hits != 0 || rc.journal_dropped != 0 ||
-      rc.sites_retried != 0 || rc.sites_engine_error != 0) {
-    std::printf("durability: %llu journal hits (%llu dropped), "
-                "%llu sites retried, %llu engine errors\n",
-                (unsigned long long)rc.journal_hits,
-                (unsigned long long)rc.journal_dropped,
-                (unsigned long long)rc.sites_retried,
-                (unsigned long long)rc.sites_engine_error);
-  }
-  if (r.truncated) {
-    std::printf("TRUNCATED: %zu/%zu sites completed; re-run with "
-                "--journal=DIR --resume to finish\n",
-                r.completed_sites, r.total_sites);
-    return kExitRuntime;
-  }
-  return 0;
+  return print_tail(r.replay, r.truncated, r.completed_sites, r.total_sites);
+}
+
+int cmd_iss_campaign(const std::string& name, const std::string& model,
+                     std::size_t samples, unsigned threads) {
+  fault::IssCampaignConfig cfg;
+  cfg.samples = samples;
+  if (model == "sa0") cfg.models = {iss::IssFaultModel::kStuckAt0};
+  else if (model == "sa1") cfg.models = {iss::IssFaultModel::kStuckAt1};
+  else if (model == "open") cfg.models = {iss::IssFaultModel::kOpenLine};
+  else if (model == "flip") cfg.models = {iss::IssFaultModel::kBitFlip};
+  else return usage();
+  engine::EngineOptions opts = engine::options_from_env();
+  if (threads != 0) opts.threads = threads;
+  engine::install_signal_stop();
+  opts.stop = &engine::signal_stop_flag();
+  opts.on_progress = engine::stderr_progress();
+  const auto r =
+      engine::run_iss_campaign_engine(load_workload(name, 1), cfg, opts);
+  const auto& s = r.per_model[0];
+  std::printf("workload=%s unit=regfile model=%s trials=%zu\n"
+              "Pf=%s failures=%zu latent=%zu silent=%zu errors=%zu\n",
+              name.c_str(), model.c_str(), s.runs,
+              fault::pf_with_ci(s.pf(), s.pf_ci95()).c_str(), s.failures,
+              s.latent, s.runs - s.failures - s.latent - s.errors, s.errors);
+  print_replay(r.replay, "instructions");
+  std::printf("outcome_hash=%016llx\n",
+              (unsigned long long)fault::outcome_hash(r));
+  return print_tail(r.replay, r.truncated, r.completed_sites, r.total_sites);
 }
 
 int cmd_avf(const std::string& name) {
@@ -442,6 +499,17 @@ int main(int argc, char** argv) {
                           static_cast<std::size_t>(samples),
                           threads > 0 ? static_cast<unsigned>(threads) : 0,
                           static_cast<std::size_t>(instants), window, flags);
+    }
+    if (cmd == "iss-campaign" && pos.size() >= 3) {
+      const int threads = pos.size() > 3 ? std::atoi(arg(3).c_str()) : 0;
+      const long long samples = std::atoll(arg(2).c_str());
+      if (samples < 0) {
+        std::fprintf(stderr, "error: <n> must be non-negative\n");
+        return kExitUsage;
+      }
+      return cmd_iss_campaign(arg(0), arg(1),
+                              static_cast<std::size_t>(samples),
+                              threads > 0 ? static_cast<unsigned>(threads) : 0);
     }
     if (cmd == "avf" && pos.size() >= 1) return cmd_avf(arg(0));
     if (cmd == "asm" && pos.size() >= 1) return cmd_asm(arg(0));

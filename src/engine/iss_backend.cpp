@@ -1,6 +1,7 @@
 #include "engine/iss_backend.hpp"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -19,6 +20,90 @@ std::size_t snapshot_bytes(const IssCampaignBackend::GoldenSnapshot& s) {
   return sizeof(s) + s.mem.allocated_pages() * 64;
 }
 
+/// Register-liveness scan state (see IssCampaignBackend::liveness): the
+/// sites still undecided, listed under their physical register, and the
+/// verdict table they resolve into. Fed by an observed golden replay; holds
+/// no per-access log.
+class LivenessScan final : public iss::RegAccessObserver {
+ public:
+  using Liveness = IssCampaignBackend::Liveness;
+
+  LivenessScan(const std::vector<iss::IssFault>& faults,
+               std::vector<Liveness>& verdict)
+      : faults_(faults), verdict_(verdict) {}
+
+  /// Watch site `i` from the current golden instant, at which its register
+  /// holds `golden_value` (an open-line fault freezes that bit).
+  void arm(std::size_t i, u32 golden_value) {
+    const iss::IssFault& f = faults_[i];
+    const bool value = f.model == iss::IssFaultModel::kStuckAt1 ||
+                       (f.model == iss::IssFaultModel::kOpenLine &&
+                        ((golden_value >> f.bit) & 1u) != 0);
+    by_reg_[f.phys_reg].push_back(
+        {i, f.bit, f.model == iss::IssFaultModel::kBitFlip, value});
+    ++pending_;
+  }
+
+  /// A read makes a flipped bit visible, and a stuck bit too unless the
+  /// golden value already holds it: those sites need simulating (the
+  /// verdict table's default).
+  void on_read(unsigned phys_reg, u32 value) override {
+    drop(phys_reg, [value](const Watch& w) {
+      return w.flip || (((value >> w.bit) & 1u) != 0) != w.value;
+    });
+  }
+
+  /// A flipped bit overwritten before any read is gone, so the faulty run
+  /// is the golden run from here. An instruction reports its reads before
+  /// its write, so a flip this instruction also read (e.g. SWAP's rd) was
+  /// already dropped above.
+  void on_write(unsigned phys_reg) override {
+    drop(phys_reg, [this](const Watch& w) {
+      if (w.flip) verdict_[w.site] = Liveness::kSilent;
+      return w.flip;
+    });
+  }
+
+  /// At the golden halt: every site still pending ran as the golden run
+  /// with only its bit forced, so it is latent iff that bit differs from
+  /// the golden final value.
+  void finish(const std::array<u32, iss::ArchState::kPhysRegs>& final_regs) {
+    for (unsigned p = 0; p < by_reg_.size(); ++p) {
+      for (const Watch& w : by_reg_[p]) {
+        const bool golden_bit = ((final_regs[p] >> w.bit) & 1u) != 0;
+        verdict_[w.site] = w.flip || golden_bit != w.value
+                               ? Liveness::kLatent
+                               : Liveness::kSilent;
+      }
+      by_reg_[p].clear();
+    }
+    pending_ = 0;
+  }
+
+  std::size_t pending() const noexcept { return pending_; }
+
+ private:
+  struct Watch {
+    std::size_t site;
+    unsigned bit;
+    bool flip;
+    bool value;  ///< the stuck (or frozen) bit value; unused for flips
+  };
+
+  template <class Pred>
+  void drop(unsigned phys_reg, Pred pred) {
+    std::vector<Watch>& list = by_reg_[phys_reg];
+    const auto kept = std::remove_if(list.begin(), list.end(), pred);
+    pending_ -= static_cast<std::size_t>(list.end() - kept);
+    list.erase(kept, list.end());
+  }
+
+  const std::vector<iss::IssFault>& faults_;
+  std::vector<Liveness>& verdict_;
+  std::array<std::vector<Watch>, iss::ArchState::kPhysRegs> by_reg_;
+  std::size_t pending_ = 0;
+};
+
 }  // namespace
 
 IssCampaignBackend::IssCampaignBackend(const isa::Program& prog,
@@ -36,12 +121,12 @@ IssCampaignBackend::IssCampaignBackend(const isa::Program& prog,
   iss::Emulator golden(golden_mem_);
   golden.set_fast_path(opts_.iss_fast_path);
   golden.reset(prog_.entry);
-  // The golden run, stepped manually so the ladder can snapshot it on the
-  // stride grid (same 10M-instruction watchdog as Emulator::run's default).
+  // The golden run, walked with the block-walk fast loop between points of
+  // the stride grid so the ladder can snapshot it there (same
+  // 10M-instruction watchdog as Emulator::run's default).
   constexpr u64 kGoldenMaxSteps = 10'000'000;
-  for (u64 i = 0;
-       i < kGoldenMaxSteps && golden.halt_reason() == iss::HaltReason::kRunning;
-       ++i) {
+  while (golden.instret() < kGoldenMaxSteps &&
+         golden.halt_reason() == iss::HaltReason::kRunning) {
     if (ladder_.wants(golden.instret())) {
       auto snap = std::make_shared<GoldenSnapshot>();
       snap->emu = golden.checkpoint_lite();
@@ -51,7 +136,14 @@ IssCampaignBackend::IssCampaignBackend(const isa::Program& prog,
       const std::size_t bytes = snapshot_bytes(*snap);
       ladder_.record(golden.instret(), std::move(snap), bytes);
     }
-    golden.step();
+    // The stride may double as the auto ladder thins itself, so it is
+    // re-read every lap.
+    u64 target = kGoldenMaxSteps;
+    if (ladder_.enabled()) {
+      const u64 stride = ladder_.stride();
+      target = std::min(target, (golden.instret() / stride + 1) * stride);
+    }
+    golden.advance(target - golden.instret());
   }
   if (golden.halt_reason() != iss::HaltReason::kHalted) {
     throw std::runtime_error("ISS golden run did not halt cleanly");
@@ -121,7 +213,7 @@ JournalEntry IssCampaignBackend::journal_entry(std::size_t i,
   JournalEntry e;
   e.index = i;
   e.site_key = site_key(i);
-  e.outcome = r.engine_error ? 4u : r.failure ? 2u : r.latent ? 1u : 0u;
+  e.outcome = static_cast<u32>(r.outcome());
   e.latency = r.latency_instr;
   e.halt = 0;  // the ISS record does not keep a halt reason
   e.error = r.error;
@@ -147,6 +239,68 @@ IssCampaignBackend::Record IssCampaignBackend::error_record(
   r.engine_error = true;
   r.error = what;
   return r;
+}
+
+IssCampaignBackend::Liveness IssCampaignBackend::liveness(
+    std::size_t i) const {
+  // A watchdog below the golden length would end even the golden run
+  // early, so the golden run would not be the faulty run's twin.
+  if (watchdog_ < golden_instret_) return Liveness::kSimulate;
+  std::call_once(liveness_once_, [this] { build_liveness_table(); });
+  return liveness_.at(i);
+}
+
+void IssCampaignBackend::build_liveness_table() const {
+  liveness_.assign(faults_.size(), Liveness::kSimulate);
+  // A site arms before instruction t+1 runs, so only instants short of the
+  // golden halt can be watched.
+  std::vector<std::size_t> order;
+  for (std::size_t i = 0; i < faults_.size(); ++i) {
+    if (faults_[i].inject_at_instr < golden_instret_) order.push_back(i);
+  }
+  activation_candidates_ = order.size();
+  if (order.empty()) return;
+  const auto instant = [this](std::size_t i) {
+    return faults_[i].inject_at_instr;
+  };
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return instant(a) < instant(b);
+                   });
+
+  // Replay the golden run from the rung at or below the earliest instant,
+  // arming each site at its instant, until every site is decided or the run
+  // halts. Stretches with nothing pending take the fast loop.
+  Memory mem;
+  iss::Emulator emu(mem);
+  emu.set_fast_path(opts_.iss_fast_path);
+  if (const auto* rung = ladder_.best_at_or_below(instant(order.front()))) {
+    emu.restore(rung->snap->emu, golden_trace_, rung->snap->writes,
+                rung->snap->reads);
+    mem = rung->snap->mem.clone();
+  } else {
+    mem = initial_mem_.clone();
+    emu.reset(prog_.entry);
+  }
+  const u64 start = emu.instret();
+  LivenessScan scan(faults_, liveness_);
+  std::size_t armed = 0;
+  while (emu.halt_reason() == iss::HaltReason::kRunning) {
+    while (armed < order.size() && instant(order[armed]) == emu.instret()) {
+      const std::size_t i = order[armed++];
+      scan.arm(i, emu.state().regs[faults_[i].phys_reg]);
+    }
+    if (scan.pending() == 0) {
+      if (armed == order.size()) break;
+      emu.advance(instant(order[armed]) - emu.instret());
+      continue;
+    }
+    emu.step_observed(scan);
+  }
+  if (emu.halt_reason() == iss::HaltReason::kHalted) {
+    scan.finish(emu.state().regs);
+  }
+  activation_scan_instrs_ = emu.instret() - start;
 }
 
 std::unique_ptr<IssCampaignBackend::Worker> IssCampaignBackend::make_worker(
@@ -205,6 +359,19 @@ void IssCampaignBackend::Worker::prepare(u64 inject_at_instr) {
 fault::IssInjectionResult IssCampaignBackend::Worker::run_site(
     std::size_t index) {
   const iss::IssFault fault = b_.faults_[index];
+  const Liveness verdict = b_.liveness(index);
+  if (verdict != Liveness::kSimulate) {
+    // The faulty run is the golden run but for the faulted bit: nothing to
+    // position or step.
+    maybe_fail_site(b_.fail_spec_, fail_attempts_, index);
+    const bool latent = verdict == Liveness::kLatent;
+    (latent ? b_.activation_latent_ : b_.activation_silent_)
+        .fetch_add(1, std::memory_order_relaxed);
+    fault::IssInjectionResult result;
+    result.fault = fault;
+    result.latent = latent;
+    return result;
+  }
   prepare(fault.inject_at_instr);
   emu_.arm_fault(fault);
   maybe_fail_site(b_.fail_spec_, fail_attempts_, index);
@@ -297,6 +464,10 @@ fault::IssCampaignResult IssCampaignBackend::finish(EngineRun<Record> run) const
   result.replay.cold_resets = cold_resets_.load();
   result.replay.fast_forward_cycles = fast_forward_instrs_.load();
   result.replay.convergence_cutoffs = convergence_cutoffs_.load();
+  result.replay.activation_candidates = activation_candidates_;
+  result.replay.activation_silent = activation_silent_.load();
+  result.replay.activation_latent = activation_latent_.load();
+  result.replay.activation_scan_cycles = activation_scan_instrs_;
   result.replay.journal_hits = run.journal_hits;
   result.replay.journal_dropped = run.journal_dropped;
   result.replay.sites_retried = run.sites_retried;
@@ -314,11 +485,7 @@ fault::IssCampaignResult IssCampaignBackend::finish(EngineRun<Record> run) const
     OutcomeAccumulator acc;
     for (const fault::IssInjectionResult& r : result.runs) {
       if (r.fault.model != model) continue;
-      acc.add(r.engine_error ? fault::Outcome::kEngineError
-              : r.failure    ? fault::Outcome::kFailure
-              : r.latent     ? fault::Outcome::kLatent
-                             : fault::Outcome::kSilent,
-              r.latency_instr);
+      acc.add(r.outcome(), r.latency_instr);
     }
     fault::IssCampaignStats stats;
     stats.model = model;

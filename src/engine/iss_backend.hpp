@@ -7,6 +7,7 @@
 #include <atomic>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -57,13 +58,33 @@ class IssCampaignBackend {
   Record record_from_journal(const JournalEntry& e) const;
   Record error_record(std::size_t i, const std::string& what) const;
 
+  /// Register-liveness oracle verdict for one site.
+  enum class Liveness : u8 {
+    kSimulate = 0,  ///< the golden run cannot decide it: simulate
+    kSilent,        ///< record {failure = false, latent = false, latency 0}
+    kLatent,        ///< record {failure = false, latent = true, latency 0}
+  };
+
+  /// Register-liveness oracle: decides site `i` from the golden run's
+  /// register-file accesses after its instant when they prove the faulty
+  /// run equals the golden run up to the faulted bit. A bit flip whose
+  /// register is next written (not read) is silent, one never accessed
+  /// again is latent; a stuck-at or open-line fault whose every later
+  /// golden read already sees the stuck value is silent or latent by the
+  /// golden final value of that bit. Anything else is kSimulate. Builds
+  /// the backend's table on first use (one observed golden replay,
+  /// thread-safe); always kSimulate when the watchdog is shorter than the
+  /// golden run.
+  Liveness liveness(std::size_t i) const;
+
   class Worker {
    public:
     Worker(const IssCampaignBackend& backend, unsigned shard);
     /// Restore the golden prefix, arm the fault, step the faulty suffix
     /// under the per-instruction monitor (early stop on a definite write
     /// divergence, convergence cut-off at ladder rungs) and classify the
-    /// outcome against the golden run.
+    /// outcome against the golden run. A site the register-liveness oracle
+    /// decides returns its record without any of that.
     Record run_site(std::size_t index);
 
    private:
@@ -97,6 +118,11 @@ class IssCampaignBackend {
  private:
   friend class Worker;
 
+  /// Fill liveness_: replay the golden run from the rung at or below the
+  /// earliest instant, reporting register-file accesses, with every site
+  /// pending on its physical register from its instant on.
+  void build_liveness_table() const;
+
   isa::Program prog_;
   fault::IssCampaignConfig cfg_;
   EngineOptions opts_;
@@ -116,6 +142,13 @@ class IssCampaignBackend {
   mutable std::atomic<u64> cold_resets_{0};
   mutable std::atomic<u64> fast_forward_instrs_{0};
   mutable std::atomic<u64> convergence_cutoffs_{0};
+  mutable std::atomic<u64> activation_silent_{0};
+  mutable std::atomic<u64> activation_latent_{0};
+  // Register-liveness oracle table, built once by the first site.
+  mutable std::once_flag liveness_once_;
+  mutable std::vector<Liveness> liveness_;  ///< site-indexed
+  mutable u64 activation_candidates_ = 0;
+  mutable u64 activation_scan_instrs_ = 0;
 };
 
 /// Full engine-backed ISS campaign. fault::run_iss_campaign is the serial

@@ -159,12 +159,18 @@ struct ReplayCounters {
   u64 cold_resets = 0;         ///< resumes that had to re-simulate from 0
   u64 fast_forward_cycles = 0; ///< fault-free instants stepped after restore
   u64 convergence_cutoffs = 0; ///< transient runs proven silent at a rung
-  // Activation oracle (permanent RTL faults; see
-  // engine::RtlCampaignBackend::never_activated):
-  u64 activation_candidates = 0;  ///< sites left by the rung filter
-  u64 activation_silent = 0;      ///< sites classified with zero simulated
-                                  ///  cycles
-  u64 activation_scan_cycles = 0; ///< golden cycles the scan replayed
+  // Activation oracles: permanent RTL faults (see
+  // engine::RtlCampaignBackend::never_activated) and ISS register-file
+  // faults (see engine::IssCampaignBackend::liveness). For the ISS,
+  // "cycles" are retired instructions.
+  u64 activation_candidates = 0;  ///< sites the scan watched (RTL: those
+                                  ///  left by the rung filter)
+  u64 activation_silent = 0;      ///< sites classified silent with zero
+                                  ///  simulated cycles
+  u64 activation_latent = 0;      ///< sites classified latent with zero
+                                  ///  simulated cycles (ISS only; RTL 0)
+  u64 activation_scan_cycles = 0; ///< golden cycles (ISS: instructions)
+                                  ///  the scan replayed
   // Durability / robustness events (see engine/journal.hpp and the
   // worker-isolation retry in CampaignEngine::run; zero on a clean,
   // journal-less run):

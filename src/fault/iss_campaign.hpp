@@ -30,6 +30,15 @@ struct IssInjectionResult {
   bool engine_error = false;
   u64 latency_instr = 0;
   std::string error;
+
+  /// The record as a fault::Outcome: kEngineError, kFailure, kLatent or
+  /// kSilent (the ISS has no separate hang class).
+  Outcome outcome() const noexcept {
+    return engine_error ? Outcome::kEngineError
+           : failure    ? Outcome::kFailure
+           : latent     ? Outcome::kLatent
+                        : Outcome::kSilent;
+  }
 };
 
 struct IssCampaignStats {
@@ -64,6 +73,12 @@ struct IssCampaignResult {
   std::vector<IssInjectionResult> runs;
   std::vector<IssCampaignStats> per_model;
 };
+
+/// FNV-1a fingerprint of the (outcome, latency) sequence of `r.runs`, the
+/// ISS counterpart of outcome_hash(const CampaignResult&): the same function
+/// over each record's outcome() — so it covers failure, latent and engine
+/// errors — and latency_instr. Equal at any thread count and ladder stride.
+u64 outcome_hash(const IssCampaignResult& r);
 
 /// Thin serial wrapper over the unified engine
 /// (engine::run_iss_campaign_engine), which also offers worker threads,

@@ -315,9 +315,10 @@ Icc logic_flags(u32 r) {
 
 }  // namespace
 
-HaltReason Emulator::exec_memory(const DecodedInst& d, u32 pc) {
-  const u32 a = rreg(d.rs1);
-  const u32 b = d.uses_imm ? static_cast<u32>(d.simm13) : rreg(d.rs2);
+template <class Obs>
+HaltReason Emulator::exec_memory(const DecodedInst& d, u32 pc, Obs& obs) {
+  const u32 a = rreg(d.rs1, obs);
+  const u32 b = d.uses_imm ? static_cast<u32>(d.simm13) : rreg(d.rs2, obs);
   const u32 addr = a + b;
 
   auto aligned = [&](u32 align) { return (addr & (align - 1)) == 0; };
@@ -325,64 +326,73 @@ HaltReason Emulator::exec_memory(const DecodedInst& d, u32 pc) {
   switch (d.opcode) {
     case Opcode::kLD:
       if (!aligned(4)) return halt_with(HaltReason::kMisalignedAccess);
-      wreg(d.rd, ld32(addr));
+      wreg(d.rd, ld32(addr), obs);
       break;
     case Opcode::kLDUB:
-      wreg(d.rd, ld8(addr));
+      wreg(d.rd, ld8(addr), obs);
       break;
     case Opcode::kLDSB:
       wreg(d.rd, static_cast<u32>(static_cast<i32>(
-                               static_cast<i8>(ld8(addr)))));
+                               static_cast<i8>(ld8(addr)))), obs);
       break;
     case Opcode::kLDUH:
       if (!aligned(2)) return halt_with(HaltReason::kMisalignedAccess);
-      wreg(d.rd, ld16(addr));
+      wreg(d.rd, ld16(addr), obs);
       break;
     case Opcode::kLDSH:
       if (!aligned(2)) return halt_with(HaltReason::kMisalignedAccess);
       wreg(d.rd, static_cast<u32>(static_cast<i32>(
-                               static_cast<i16>(ld16(addr)))));
+                               static_cast<i16>(ld16(addr)))), obs);
       break;
     case Opcode::kLDD:
       if (!aligned(8)) return halt_with(HaltReason::kMisalignedAccess);
-      wreg(d.rd, ld32(addr));
-      wreg(d.rd + 1u, ld32(addr + 4));
+      wreg(d.rd, ld32(addr), obs);
+      wreg(d.rd + 1u, ld32(addr + 4), obs);
       break;
-    case Opcode::kST:
+    case Opcode::kST: {
       if (!aligned(4)) return halt_with(HaltReason::kMisalignedAccess);
-      st32(addr, rreg(d.rd));
-      record_store(addr, 4, rreg(d.rd));
+      const u32 v = rreg(d.rd, obs);
+      st32(addr, v);
+      record_store(addr, 4, v);
       break;
-    case Opcode::kSTB:
-      st8(addr, static_cast<u8>(rreg(d.rd)));
-      record_store(addr, 1, rreg(d.rd) & 0xFF);
+    }
+    case Opcode::kSTB: {
+      const u32 v = rreg(d.rd, obs);
+      st8(addr, static_cast<u8>(v));
+      record_store(addr, 1, v & 0xFF);
       break;
-    case Opcode::kSTH:
+    }
+    case Opcode::kSTH: {
       if (!aligned(2)) return halt_with(HaltReason::kMisalignedAccess);
-      st16(addr, static_cast<u16>(rreg(d.rd)));
-      record_store(addr, 2, rreg(d.rd) & 0xFFFF);
+      const u32 v = rreg(d.rd, obs);
+      st16(addr, static_cast<u16>(v));
+      record_store(addr, 2, v & 0xFFFF);
       break;
-    case Opcode::kSTD:
+    }
+    case Opcode::kSTD: {
       if (!aligned(8)) return halt_with(HaltReason::kMisalignedAccess);
-      st32(addr, rreg(d.rd));
-      st32(addr + 4, rreg(d.rd + 1u));
-      record_store(addr, 4, rreg(d.rd));
-      record_store(addr + 4, 4, rreg(d.rd + 1u));
+      const u32 hi = rreg(d.rd, obs);
+      const u32 lo = rreg(d.rd + 1u, obs);
+      st32(addr, hi);
+      st32(addr + 4, lo);
+      record_store(addr, 4, hi);
+      record_store(addr + 4, 4, lo);
       break;
+    }
     case Opcode::kLDSTUB: {
       const u8 old = ld8(addr);
       st8(addr, 0xFF);
       record_store(addr, 1, 0xFF);
-      wreg(d.rd, old);
+      wreg(d.rd, old, obs);
       break;
     }
     case Opcode::kSWAP: {
       if (!aligned(4)) return halt_with(HaltReason::kMisalignedAccess);
       const u32 old = ld32(addr);
-      const u32 nv = rreg(d.rd);
+      const u32 nv = rreg(d.rd, obs);
       st32(addr, nv);
       record_store(addr, 4, nv);
-      wreg(d.rd, old);
+      wreg(d.rd, old, obs);
       break;
     }
     default:
@@ -398,6 +408,16 @@ HaltReason Emulator::exec_memory(const DecodedInst& d, u32 pc) {
 }
 
 HaltReason Emulator::step() {
+  NoRegObserver none;
+  return step_with(none);
+}
+
+HaltReason Emulator::step_observed(RegAccessObserver& obs) {
+  return step_with(obs);
+}
+
+template <class Obs>
+HaltReason Emulator::step_with(Obs& obs) {
   if (halt_ != HaltReason::kRunning) return halt_;
 
   // Faults are enforced at instruction boundaries: a fault armed at
@@ -413,14 +433,15 @@ HaltReason Emulator::step() {
     // stale; the flush is deferred to the next fetch_decoded().
     const DecodedInst& d = *fetch_decoded(pc);
     if (!d.valid()) return halt_with(HaltReason::kIllegalInstruction);
-    return exec_one(d, pc);
+    return exec_one(d, pc, obs);
   }
   const DecodedInst d = isa::decode(mem_.load_u32(pc));
   if (!d.valid()) return halt_with(HaltReason::kIllegalInstruction);
-  return exec_one(d, pc);
+  return exec_one(d, pc, obs);
 }
 
-HaltReason Emulator::exec_one(const DecodedInst& d, u32 pc) {
+template <class Obs>
+HaltReason Emulator::exec_one(const DecodedInst& d, u32 pc, Obs& obs) {
   trace_.record(d.opcode);
   ++instret_;
   if (timing_ != nullptr) timing_->on_fetch(pc, d);
@@ -430,14 +451,14 @@ HaltReason Emulator::exec_one(const DecodedInst& d, u32 pc) {
   // operands in exec_memory.
   switch (d.iclass) {
     case InstClass::kSethi:
-      wreg(d.rd, d.imm22 << 10);
+      wreg(d.rd, d.imm22 << 10, obs);
       advance_pc();
       break;
 
     case InstClass::kAlu: {
-      const u32 a = rreg(d.rs1);
+      const u32 a = rreg(d.rs1, obs);
       const u32 b =
-          d.uses_imm ? static_cast<u32>(d.simm13) : rreg(d.rs2);
+          d.uses_imm ? static_cast<u32>(d.simm13) : rreg(d.rs2, obs);
       u32 r = 0;
       Icc icc = state_.icc;
       bool write_icc = d.sets_icc;
@@ -514,16 +535,16 @@ HaltReason Emulator::exec_one(const DecodedInst& d, u32 pc) {
         default:
           return halt_with(HaltReason::kIllegalInstruction);
       }
-      wreg(d.rd, r);
+      wreg(d.rd, r, obs);
       if (write_icc) state_.icc = icc;
       advance_pc();
       break;
     }
 
     case InstClass::kShift: {
-      const u32 a = rreg(d.rs1);
+      const u32 a = rreg(d.rs1, obs);
       const u32 b =
-          d.uses_imm ? static_cast<u32>(d.simm13) : rreg(d.rs2);
+          d.uses_imm ? static_cast<u32>(d.simm13) : rreg(d.rs2, obs);
       const u32 count = b & 31;
       u32 r = 0;
       switch (d.opcode) {
@@ -532,15 +553,15 @@ HaltReason Emulator::exec_one(const DecodedInst& d, u32 pc) {
         case Opcode::kSRA: r = static_cast<u32>(static_cast<i32>(a) >> count); break;
         default: return halt_with(HaltReason::kIllegalInstruction);
       }
-      wreg(d.rd, r);
+      wreg(d.rd, r, obs);
       advance_pc();
       break;
     }
 
     case InstClass::kMul: {
-      const u32 a = rreg(d.rs1);
+      const u32 a = rreg(d.rs1, obs);
       const u32 b =
-          d.uses_imm ? static_cast<u32>(d.simm13) : rreg(d.rs2);
+          d.uses_imm ? static_cast<u32>(d.simm13) : rreg(d.rs2, obs);
       const bool is_signed =
           d.opcode == Opcode::kSMUL || d.opcode == Opcode::kSMULCC;
       const u64 prod = is_signed
@@ -549,7 +570,7 @@ HaltReason Emulator::exec_one(const DecodedInst& d, u32 pc) {
                            : static_cast<u64>(a) * b;
       const u32 lo = static_cast<u32>(prod);
       state_.y = static_cast<u32>(prod >> 32);
-      wreg(d.rd, lo);
+      wreg(d.rd, lo, obs);
       if (d.sets_icc) {
         state_.icc = logic_flags(lo);  // V=C=0, N/Z from the low word
       }
@@ -558,9 +579,9 @@ HaltReason Emulator::exec_one(const DecodedInst& d, u32 pc) {
     }
 
     case InstClass::kDiv: {
-      const u32 a = rreg(d.rs1);
+      const u32 a = rreg(d.rs1, obs);
       const u32 b =
-          d.uses_imm ? static_cast<u32>(d.simm13) : rreg(d.rs2);
+          d.uses_imm ? static_cast<u32>(d.simm13) : rreg(d.rs2, obs);
       if (b == 0) return halt_with(HaltReason::kDivisionByZero);
       const bool is_signed =
           d.opcode == Opcode::kSDIV || d.opcode == Opcode::kSDIVCC;
@@ -578,7 +599,7 @@ HaltReason Emulator::exec_one(const DecodedInst& d, u32 pc) {
         if (uq > 0xFFFF'FFFFull) { q = 0xFFFF'FFFFu; overflow = true; }
         else q = static_cast<u32>(uq);
       }
-      wreg(d.rd, q);
+      wreg(d.rd, q, obs);
       if (d.sets_icc) {
         state_.icc = Icc::make((q >> 31) & 1, q == 0, overflow, false);
       }
@@ -609,7 +630,7 @@ HaltReason Emulator::exec_one(const DecodedInst& d, u32 pc) {
     }
 
     case InstClass::kCall: {
-      wreg(15, pc);  // %o7
+      wreg(15, pc, obs);  // %o7
       const u32 target = pc + static_cast<u32>(d.disp);
       if (timing_ != nullptr) timing_->on_branch(true);
       state_.pc = state_.npc;
@@ -618,12 +639,12 @@ HaltReason Emulator::exec_one(const DecodedInst& d, u32 pc) {
     }
 
     case InstClass::kJmpl: {
-      const u32 a = rreg(d.rs1);
+      const u32 a = rreg(d.rs1, obs);
       const u32 b =
-          d.uses_imm ? static_cast<u32>(d.simm13) : rreg(d.rs2);
+          d.uses_imm ? static_cast<u32>(d.simm13) : rreg(d.rs2, obs);
       const u32 target = a + b;
       if ((target & 3) != 0) return halt_with(HaltReason::kMisalignedAccess);
-      wreg(d.rd, pc);
+      wreg(d.rd, pc, obs);
       if (timing_ != nullptr) timing_->on_branch(true);
       state_.pc = state_.npc;
       state_.npc = target;
@@ -633,15 +654,15 @@ HaltReason Emulator::exec_one(const DecodedInst& d, u32 pc) {
     case InstClass::kLoad:
     case InstClass::kStore:
     case InstClass::kAtomic: {
-      const HaltReason hr = exec_memory(d, pc);
+      const HaltReason hr = exec_memory(d, pc, obs);
       if (hr != HaltReason::kRunning) return hr;
       break;
     }
 
     case InstClass::kSaveRestore: {
-      const u32 a = rreg(d.rs1);
+      const u32 a = rreg(d.rs1, obs);
       const u32 b =
-          d.uses_imm ? static_cast<u32>(d.simm13) : rreg(d.rs2);
+          d.uses_imm ? static_cast<u32>(d.simm13) : rreg(d.rs2, obs);
       const bool is_save = d.opcode == Opcode::kSAVE;
       if (is_save) {
         if (state_.window_depth + 1 >= isa::kNumWindows) {
@@ -659,20 +680,20 @@ HaltReason Emulator::exec_one(const DecodedInst& d, u32 pc) {
       rebuild_regmap();
       // Operands were read in the *old* window; the sum is written to rd in
       // the *new* window (SPARC V8 semantics).
-      wreg(d.rd, a + b);
+      wreg(d.rd, a + b, obs);
       advance_pc();
       break;
     }
 
     case InstClass::kReadSpecial:
-      wreg(d.rd, state_.y);
+      wreg(d.rd, state_.y, obs);
       advance_pc();
       break;
 
     case InstClass::kWriteSpecial: {
-      const u32 a = rreg(d.rs1);
+      const u32 a = rreg(d.rs1, obs);
       const u32 b =
-          d.uses_imm ? static_cast<u32>(d.simm13) : rreg(d.rs2);
+          d.uses_imm ? static_cast<u32>(d.simm13) : rreg(d.rs2, obs);
       state_.y = a ^ b;  // SPARC: WR xor's rs1 with operand2
       advance_pc();
       break;
@@ -709,6 +730,7 @@ HaltReason Emulator::run_loop(u64 max_steps, bool arm_step_limit) {
     if (halt_ != HaltReason::kRunning) return halt_;
     if (mem_.revision() != ls_revision_) resync_caches();
     const DbbBlock* blk = nullptr;
+    NoRegObserver none;
     while (remaining != 0) {
       const u32 pc = state_.pc;
       u32 off = 0;
@@ -723,7 +745,7 @@ HaltReason Emulator::run_loop(u64 max_steps, bool arm_step_limit) {
       }
       const DecodedInst& d = blk->insts[off >> 2];
       if (!d.valid()) return halt_with(HaltReason::kIllegalInstruction);
-      if (exec_one(d, pc) != HaltReason::kRunning) return halt_;
+      if (exec_one(d, pc, none) != HaltReason::kRunning) return halt_;
       --remaining;
       // A self-modifying store marked the dbbcache stale: refetch, which
       // performs the deferred flush.

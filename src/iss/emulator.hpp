@@ -53,6 +53,23 @@ struct IssFault {
   bool frozen_value = false;        ///< captured bit for open-line
 };
 
+/// Register-file access callbacks for Emulator::step_observed(). The
+/// emulator reports every access its own operand reads and result writes
+/// make — physical slot index, and for reads the value read — so the
+/// report is exactly the instruction's semantics, not a second copy of
+/// them. %g0 is never reported (reads see a constant zero, writes vanish).
+/// Within one instruction every read is reported before any write, and a
+/// window-changing SAVE/RESTORE reports its reads in the old window and
+/// its write in the new one.
+class RegAccessObserver {
+ public:
+  virtual void on_read(unsigned phys_reg, u32 value) = 0;
+  virtual void on_write(unsigned phys_reg) = 0;
+
+ protected:
+  ~RegAccessObserver() = default;
+};
+
 /// Copyable checkpoint of an Emulator at an instruction boundary. The
 /// backing Memory is owned by the caller and snapshotted separately
 /// (Memory::clone). Armed faults are not captured; campaign workers
@@ -82,6 +99,11 @@ class Emulator {
 
   /// Execute one instruction. Returns the (possibly new) halt status.
   HaltReason step();
+
+  /// step() that also reports the instruction's register-file accesses to
+  /// `obs`. A scan-only path (e.g. a liveness scan of a golden run): it
+  /// behaves exactly like step(), one virtual call per access slower.
+  HaltReason step_observed(RegAccessObserver& obs);
 
   /// Run until halt or `max_steps` instructions. Returns the halt reason
   /// (kStepLimit if the watchdog expired).
@@ -183,15 +205,27 @@ class Emulator {
   void advance_pc();
   void apply_faults();
 
-  u32 alu_op(const isa::DecodedInst& d, u32 a, u32 b, bool& ok);
-  HaltReason exec_memory(const isa::DecodedInst& d, u32 pc);
+  /// Compile-time register-access policy of the execution templates below:
+  /// the default reports nothing and compiles away, so step(), run() and
+  /// advance() are unchanged; step_observed() instantiates them with a
+  /// RegAccessObserver.
+  struct NoRegObserver {
+    void on_read(unsigned, u32) noexcept {}
+    void on_write(unsigned) noexcept {}
+  };
+
+  template <class Obs>
+  HaltReason step_with(Obs& obs);
+  template <class Obs>
+  HaltReason exec_memory(const isa::DecodedInst& d, u32 pc, Obs& obs);
   void record_store(u32 addr, u8 size, u64 data);
 
   /// Execute one already-fetched, already-validated instruction: the
   /// trace/instret bookkeeping plus the big dispatch switch. The per-step
   /// halt/fault/alignment/revision checks are the caller's job — step()
   /// does them each time, the run()/advance() fast loop hoists them.
-  HaltReason exec_one(const isa::DecodedInst& d, u32 pc);
+  template <class Obs>
+  HaltReason exec_one(const isa::DecodedInst& d, u32 pc, Obs& obs);
   HaltReason run_loop(u64 max_steps, bool arm_step_limit);
 
   // Fast-path internals (all no-ops / pass-throughs when fast_path_ is off).
@@ -214,8 +248,20 @@ class Emulator {
   /// the hot path is two dependent loads with no zero-test or window
   /// arithmetic.
   void rebuild_regmap() noexcept;
-  u32 rreg(unsigned r) const noexcept { return *rmap_[r]; }
-  void wreg(unsigned r, u32 v) noexcept { *wmap_[r] = v; }
+  template <class Obs>
+  u32 rreg(unsigned r, Obs& obs) const {
+    const u32 v = *rmap_[r];
+    if (r != 0) obs.on_read(phys_index(rmap_[r]), v);
+    return v;
+  }
+  template <class Obs>
+  void wreg(unsigned r, u32 v, Obs& obs) {
+    *wmap_[r] = v;
+    if (r != 0) obs.on_write(phys_index(wmap_[r]));
+  }
+  unsigned phys_index(const u32* slot) const noexcept {
+    return static_cast<unsigned>(slot - state_.regs.data());
+  }
 
   // Data-access helpers: lscache when fast, Memory API otherwise. Alignment
   // is checked by exec_memory before these run, so no access crosses a page.

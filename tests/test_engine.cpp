@@ -6,14 +6,17 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <map>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "engine/engine.hpp"
 #include "engine/iss_backend.hpp"
 #include "engine/rtl_backend.hpp"
 #include "engine/stats.hpp"
+#include "isa/assembler.hpp"
 #include "workloads/workload.hpp"
 
 namespace issrtl::engine {
@@ -352,6 +355,306 @@ TEST(ActivationOracle, OffUnderMixedFidelityAndForTransients) {
   }
   EXPECT_EQ(t.replay.activation_candidates, 0u);
   EXPECT_EQ(t.replay.activation_silent, 0u);
+}
+
+// ---- register-liveness oracle (ISS) -----------------------------------------
+
+using Liveness = IssCampaignBackend::Liveness;
+
+/// The golden run of `prog` on a bare emulator with its register-file
+/// accesses logged per instruction: steps[k-1] holds instruction k's reads
+/// (physical register -> value read) and writes.
+struct IssGolden {
+  struct Step {
+    std::map<unsigned, u32> reads;
+    std::set<unsigned> writes;
+  };
+  std::vector<Step> steps;
+  OffCoreTrace trace;
+  iss::ArchState state;
+  u64 instret = 0;
+};
+
+IssGolden iss_golden(const isa::Program& prog) {
+  struct Log final : iss::RegAccessObserver {
+    std::vector<IssGolden::Step>* steps = nullptr;
+    void on_read(unsigned p, u32 v) override { steps->back().reads[p] = v; }
+    void on_write(unsigned p) override { steps->back().writes.insert(p); }
+  };
+  IssGolden g;
+  Memory mem;
+  iss::Emulator e(mem);
+  e.load(prog);
+  Log log;
+  log.steps = &g.steps;
+  while (e.halt_reason() == iss::HaltReason::kRunning) {
+    g.steps.emplace_back();
+    e.step_observed(log);
+  }
+  EXPECT_EQ(e.halt_reason(), iss::HaltReason::kHalted);
+  g.trace = e.offcore();
+  g.state = e.state();
+  g.instret = e.instret();
+  return g;
+}
+
+/// Site `f` simulated from reset on a bare emulator and classified like the
+/// serial driver (same watchdog): the record an oracle verdict must equal.
+/// `reg_at_instant` receives the golden value of the site's register at its
+/// instant.
+fault::IssInjectionResult simulate_from_reset(const isa::Program& prog,
+                                              const IssGolden& g,
+                                              const iss::IssFault& f,
+                                              double watchdog_factor,
+                                              u32& reg_at_instant) {
+  Memory mem;
+  iss::Emulator e(mem);
+  e.load(prog);
+  e.advance(f.inject_at_instr);
+  reg_at_instant = e.state().regs[f.phys_reg];
+  e.arm_fault(f);
+  const u64 watchdog = static_cast<u64>(
+      static_cast<double>(g.instret) * watchdog_factor + 1000);
+  const iss::HaltReason halt = e.run(watchdog - e.instret());
+  fault::IssInjectionResult r;
+  r.fault = f;
+  const TraceDivergence div = e.offcore().compare_writes(g.trace);
+  if (div.diverged || halt != iss::HaltReason::kHalted) {
+    r.failure = true;
+    r.latency_instr = div.diverged && div.cycle > f.inject_at_instr
+                          ? div.cycle - f.inject_at_instr
+                          : 0;
+  } else {
+    r.latent = !(e.state().regs == g.state.regs && e.state().icc == g.state.icc &&
+                 e.state().y == g.state.y);
+  }
+  return r;
+}
+
+/// The oracle's rule restated over the full access log (instructions t+1
+/// onward count). `edge` names the boundary case the site exercises, if any.
+Liveness expected_liveness(const IssGolden& g, const iss::IssFault& f,
+                           u32 reg_at_instant, std::string& edge) {
+  const u64 t = f.inject_at_instr;
+  const unsigned p = f.phys_reg;
+  const auto bit = [&f](u32 v) { return ((v >> f.bit) & 1u) != 0; };
+  if (f.model == iss::IssFaultModel::kBitFlip) {
+    for (u64 k = t + 1; k <= g.steps.size(); ++k) {
+      const IssGolden::Step& s = g.steps[k - 1];
+      if (s.reads.count(p) != 0) {
+        if (k == t + 1) edge = "flip read by instruction t+1";
+        return Liveness::kSimulate;
+      }
+      if (s.writes.count(p) != 0) {
+        edge = "flip then write";
+        return Liveness::kSilent;
+      }
+    }
+    if (t >= 1 && g.steps[t - 1].writes.count(p) != 0) {
+      edge = "written by instruction t, then untouched";
+    }
+    return Liveness::kLatent;
+  }
+  const bool v = f.model == iss::IssFaultModel::kStuckAt1 ||
+                 (f.model == iss::IssFaultModel::kOpenLine &&
+                  bit(reg_at_instant));
+  bool read = false;
+  for (u64 k = t + 1; k <= g.steps.size(); ++k) {
+    const auto it = g.steps[k - 1].reads.find(p);
+    if (it == g.steps[k - 1].reads.end()) continue;
+    if (bit(it->second) != v) return Liveness::kSimulate;
+    read = true;
+  }
+  if (read) edge = "stuck bit read only while the golden bit equals it";
+  return bit(g.state.regs[p]) != v ? Liveness::kLatent : Liveness::kSilent;
+}
+
+struct OracleCheck {
+  std::map<std::string, std::size_t> edges;  ///< edge case -> sites
+  std::set<iss::IssFaultModel> models;       ///< models with decided sites
+  std::size_t silent = 0;
+  std::size_t latent = 0;
+  u64 hash = 0;
+};
+
+/// Run `cfg` on the engine, then check every site's oracle verdict against
+/// the restated rule and every decided site's record against a simulation
+/// from reset.
+OracleCheck check_iss_oracle(const isa::Program& prog,
+                             const IssCampaignConfig& cfg) {
+  OracleCheck out;
+  EngineOptions opts;
+  opts.threads = 2;
+  IssCampaignBackend backend(prog, cfg, opts);
+  CampaignEngine engine(opts);
+  const fault::IssCampaignResult r = backend.finish(engine.run(backend));
+  EXPECT_EQ(r.runs.size(), backend.site_count());
+  out.hash = fault::outcome_hash(r);
+  const IssGolden g = iss_golden(prog);
+  EXPECT_EQ(g.instret, r.golden_instret);
+  for (std::size_t i = 0; i < backend.site_count(); ++i) {
+    const iss::IssFault& f = backend.faults()[i];
+    const Liveness got = backend.liveness(i);
+    u32 reg_at_instant = 0;
+    const fault::IssInjectionResult ref =
+        simulate_from_reset(prog, g, f, cfg.watchdog_factor, reg_at_instant);
+    std::string edge;
+    const Liveness want = expected_liveness(g, f, reg_at_instant, edge);
+    SCOPED_TRACE("site " + std::to_string(i) + ": model " +
+                 std::to_string(static_cast<int>(f.model)) + " p" +
+                 std::to_string(f.phys_reg) + " bit " + std::to_string(f.bit) +
+                 " @" + std::to_string(f.inject_at_instr));
+    EXPECT_EQ(got, want);
+    if (!edge.empty()) ++out.edges[edge];
+    if (got == Liveness::kSimulate) continue;
+    out.models.insert(f.model);
+    ++(got == Liveness::kLatent ? out.latent : out.silent);
+    const fault::IssInjectionResult& rec = r.runs[i];
+    EXPECT_FALSE(rec.engine_error);
+    EXPECT_EQ(rec.failure, ref.failure);
+    EXPECT_EQ(rec.latent, ref.latent);
+    EXPECT_EQ(rec.latency_instr, ref.latency_instr);
+    EXPECT_EQ(rec.latent, got == Liveness::kLatent);
+  }
+  EXPECT_EQ(r.replay.activation_silent, out.silent);
+  EXPECT_EQ(r.replay.activation_latent, out.latent);
+  EXPECT_EQ(r.replay.activation_candidates, backend.site_count());
+  EXPECT_GT(r.replay.activation_scan_cycles, 0u);
+  return out;
+}
+
+IssCampaignConfig all_iss_models(std::size_t samples) {
+  IssCampaignConfig cfg;
+  cfg.samples = samples;
+  cfg.models = {iss::IssFaultModel::kBitFlip, iss::IssFaultModel::kStuckAt0,
+                iss::IssFaultModel::kStuckAt1, iss::IssFaultModel::kOpenLine};
+  return cfg;
+}
+
+// Every model on two real workloads: the oracle decides a share of each
+// model's sites, each decided record equals a simulation from reset, and
+// the verdicts follow the rule exactly.
+TEST(IssOracle, ClassifiedSitesMatchSimulationFromReset) {
+  for (const char* name : {"rspeed", "a2time_x"}) {
+    SCOPED_TRACE(name);
+    const auto prog = workloads::build(name, {.iterations = 1, .data_seed = 1});
+    const OracleCheck c = check_iss_oracle(prog, all_iss_models(40));
+    EXPECT_EQ(c.models.size(), 4u);
+    EXPECT_GT(c.latent, 0u);
+  }
+}
+
+// A hand-written program dense in the boundary cases: dead writes (a flip
+// armed right after one is latent), overwrites without a read (silent), an
+// operand read by the very next instruction (simulated), and a register
+// whose later reads all agree with a stuck bit (decided). The sampled
+// sites must hit every case.
+TEST(IssOracle, BoundaryCases) {
+  isa::Assembler a("oracle_edges");
+  using isa::Reg;
+  const u32 buf = a.data_zero(16);
+  a.set32(Reg::l0, buf);
+  a.mov(Reg::o0, 0x70);
+  a.mov(Reg::o1, 1);  // never accessed again
+  a.mov(Reg::o2, 2);  // never accessed again
+  a.mov(Reg::o3, 3);  // overwritten below before any read
+  a.add(Reg::o4, Reg::o0, 1);
+  a.st(Reg::o4, Reg::l0, 0);
+  a.mov(Reg::l1, 4);  // never accessed again
+  a.add(Reg::o5, Reg::o0, Reg::o0);
+  a.mov(Reg::o3, 5);
+  a.st(Reg::o3, Reg::l0, 4);
+  a.mov(Reg::l2, 6);  // never accessed again
+  a.or_(Reg::l3, Reg::o0, 0x70);
+  a.st(Reg::o0, Reg::l0, 8);
+  a.mov(Reg::o4, 0);
+  a.mov(Reg::o5, 0);
+  a.st(Reg::l3, Reg::l0, 12);
+  // Instants are drawn from the first half of the run: pad it so they
+  // cover all of the above.
+  for (int i = 0; i < 20; ++i) a.nop();
+  a.halt();
+  const isa::Program prog = a.finalize();
+  const OracleCheck c = check_iss_oracle(prog, all_iss_models(6000));
+  EXPECT_EQ(c.models.size(), 4u);
+  EXPECT_GT(c.silent, 0u);
+  EXPECT_GT(c.latent, 0u);
+  for (const char* edge :
+       {"flip read by instruction t+1", "flip then write",
+        "written by instruction t, then untouched",
+        "stuck bit read only while the golden bit equals it"}) {
+    EXPECT_EQ(c.edges.count(edge), 1u) << edge;
+  }
+}
+
+// The oracle leaves every record schedule-invariant: the same hash and the
+// same decided sites at any thread count, ladder stride (stride 0 scans
+// from reset) and ISS fast-path setting.
+TEST(IssOracle, HashInvariantAcrossThreadsStrideAndFastPath) {
+  const auto prog = workloads::build("rspeed", {.iterations = 1, .data_seed = 1});
+  const IssCampaignConfig cfg = all_iss_models(30);
+  u64 ref_hash = 0;
+  u64 ref_decided = 0;
+  bool have_ref = false;
+  for (const unsigned threads : {1u, 3u}) {
+    for (const u64 stride : {u64{0}, kLadderStrideAuto, u64{977}}) {
+      for (const bool fast : {false, true}) {
+        EngineOptions opts;
+        opts.threads = threads;
+        opts.ladder_stride = stride;
+        opts.iss_fast_path = fast;
+        const auto r = run_iss_campaign_engine(prog, cfg, opts);
+        SCOPED_TRACE(std::to_string(threads) + " threads, stride " +
+                     std::to_string(stride) + ", fast path " +
+                     std::to_string(fast));
+        const u64 decided =
+            r.replay.activation_silent + r.replay.activation_latent;
+        if (!have_ref) {
+          ref_hash = fault::outcome_hash(r);
+          ref_decided = decided;
+          have_ref = true;
+        }
+        EXPECT_EQ(fault::outcome_hash(r), ref_hash);
+        EXPECT_EQ(decided, ref_decided);
+        EXPECT_GT(decided, r.runs.size() / 2);
+      }
+    }
+  }
+}
+
+// Sites that do read their flipped register still run, and the bit-flip
+// convergence cut-off still ends some of them at a ladder rung.
+TEST(IssOracle, ConvergenceCutoffStillFires) {
+  const auto prog = workloads::build("rspeed", {.iterations = 1, .data_seed = 1});
+  IssCampaignConfig cfg;
+  cfg.samples = 200;
+  cfg.models = {iss::IssFaultModel::kBitFlip};
+  EngineOptions opts;
+  opts.threads = 2;
+  const auto r = run_iss_campaign_engine(prog, cfg, opts);
+  EXPECT_GT(r.replay.convergence_cutoffs, 0u);
+  EXPECT_LT(r.replay.activation_silent + r.replay.activation_latent,
+            r.runs.size());
+}
+
+// A watchdog shorter than the golden run turns the oracle off: the golden
+// run is then no longer what an unactivated fault's run would do.
+TEST(IssOracle, OffWhenWatchdogIsShorterThanGoldenRun) {
+  const auto prog = workloads::build("rspeed", {.iterations = 1, .data_seed = 1});
+  IssCampaignConfig cfg = all_iss_models(8);
+  cfg.watchdog_factor = 0.25;
+  EngineOptions opts;
+  opts.threads = 1;
+  IssCampaignBackend backend(prog, cfg, opts);
+  CampaignEngine engine(opts);
+  const auto r = backend.finish(engine.run(backend));
+  for (std::size_t i = 0; i < backend.site_count(); ++i) {
+    EXPECT_EQ(backend.liveness(i), Liveness::kSimulate) << i;
+  }
+  EXPECT_EQ(r.replay.activation_candidates, 0u);
+  EXPECT_EQ(r.replay.activation_silent, 0u);
+  EXPECT_EQ(r.replay.activation_latent, 0u);
+  EXPECT_EQ(r.replay.activation_scan_cycles, 0u);
 }
 
 // ---- checkpoint correctness -------------------------------------------------

@@ -2,9 +2,13 @@
 // control transfer, register windows, traps, tracing and ISS-level faults.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+
 #include "isa/assembler.hpp"
 #include "iss/emulator.hpp"
 #include "iss/timing.hpp"
+#include "workloads/workload.hpp"
 
 namespace issrtl::iss {
 namespace {
@@ -832,6 +836,310 @@ TEST(IssFault, BitFlipIsTransient) {
   ASSERT_EQ(w.size(), 2u);
   EXPECT_EQ(w[0].data, 1u);  // flipped
   EXPECT_EQ(w[1].data, 0u);  // rewritten value is clean again
+}
+
+// ---- observed step (register-file access reports) ---------------------------------
+//
+// step_observed() reports what the emulator's own operand reads and result
+// writes touch, by physical register. Each test runs a program plainly up
+// to one instruction and checks that instruction's exact read set (with the
+// values read) and write set.
+
+/// Register-file accesses reported for one instruction.
+struct Accesses final : RegAccessObserver {
+  std::map<unsigned, u32> reads;  ///< physical register -> value read
+  std::set<unsigned> writes;
+  bool read_after_write = false;  ///< breaks the reads-first order
+  void on_read(unsigned phys_reg, u32 value) override {
+    reads[phys_reg] = value;
+    read_after_write = read_after_write || !writes.empty();
+  }
+  void on_write(unsigned phys_reg) override { writes.insert(phys_reg); }
+};
+
+/// Physical slot of `r` in window `cwp`.
+unsigned phys(Reg r, unsigned cwp = 0) {
+  return isa::phys_reg_index(isa::reg_num(r), cwp);
+}
+
+/// Window a single SAVE from window 0 moves to.
+constexpr unsigned kSavedCwp = isa::kNumWindows - 1;
+
+/// `p` run with step() until pc reaches `pc`, then the instruction there
+/// stepped observed.
+struct ObservedStep {
+  Memory mem;
+  std::unique_ptr<Emulator> emu;
+  Accesses acc;
+};
+
+std::unique_ptr<ObservedStep> observe_at(const Program& p, u32 pc) {
+  auto o = std::make_unique<ObservedStep>();
+  o->emu = std::make_unique<Emulator>(o->mem);
+  o->emu->load(p);
+  while (o->emu->state().pc != pc) {
+    EXPECT_EQ(o->emu->step(), HaltReason::kRunning);
+    if (o->emu->halt_reason() != HaltReason::kRunning) return o;
+  }
+  o->emu->step_observed(o->acc);
+  EXPECT_FALSE(o->acc.read_after_write);
+  return o;
+}
+
+using ReadSet = std::map<unsigned, u32>;
+using WriteSet = std::set<unsigned>;
+
+TEST(RegObserver, AluReadsOperandsAndWritesResult) {
+  Assembler a("t");
+  a.set32(Reg::o0, 5);
+  a.set32(Reg::o1, 7);
+  const u32 pc = a.current_pc();
+  a.add(Reg::o2, Reg::o0, Reg::o1);
+  a.halt();
+  const Program ap = a.finalize();
+  auto o = observe_at(ap, pc);
+  EXPECT_EQ(o->acc.reads, (ReadSet{{phys(Reg::o0), 5}, {phys(Reg::o1), 7}}));
+  EXPECT_EQ(o->acc.writes, WriteSet{phys(Reg::o2)});
+
+  Assembler b("t");
+  b.set32(Reg::o0, 5);
+  const u32 pc2 = b.current_pc();
+  b.subcc(Reg::o3, Reg::o0, 9);  // immediate form: one register operand
+  b.halt();
+  const Program bp = b.finalize();
+  auto o2 = observe_at(bp, pc2);
+  EXPECT_EQ(o2->acc.reads, (ReadSet{{phys(Reg::o0), 5}}));
+  EXPECT_EQ(o2->acc.writes, WriteSet{phys(Reg::o3)});
+}
+
+TEST(RegObserver, G0IsNeverReported) {
+  Assembler a("t");
+  a.set32(Reg::o0, 3);
+  const u32 pc = a.current_pc();
+  a.add(Reg::g0, Reg::g0, Reg::o0);  // reads %g0 and %o0, writes %g0
+  a.mov(Reg::o1, Reg::g0);           // or %g0, %g0, %o1
+  a.halt();
+  const Program ap = a.finalize();
+  auto o = observe_at(ap, pc);
+  EXPECT_EQ(o->acc.reads, (ReadSet{{phys(Reg::o0), 3}}));
+  EXPECT_TRUE(o->acc.writes.empty());
+
+  auto m = observe_at(ap, pc + 4);
+  EXPECT_TRUE(m->acc.reads.empty());
+  EXPECT_EQ(m->acc.writes, WriteSet{phys(Reg::o1)});
+}
+
+TEST(RegObserver, SethiWritesOnly) {
+  Assembler a("t");
+  const u32 pc = a.current_pc();
+  a.sethi(Reg::l3, 0x1234);
+  a.halt();
+  const Program ap = a.finalize();
+  auto o = observe_at(ap, pc);
+  EXPECT_TRUE(o->acc.reads.empty());
+  EXPECT_EQ(o->acc.writes, WriteSet{phys(Reg::l3)});
+}
+
+TEST(RegObserver, SaveAndRestoreCrossWindows) {
+  Assembler a("t");
+  a.set32(Reg::o0, 40);
+  const u32 save_pc = a.current_pc();
+  a.save(Reg::o6, Reg::o6, -96);  // reads the old %sp, writes the new one
+  a.set32(Reg::l0, 2);
+  const u32 restore_pc = a.current_pc();
+  a.restore(Reg::o1, Reg::l0, Reg::i0);  // callee %i0 is caller %o0
+  a.halt();
+
+  const Program ap = a.finalize();
+  auto s = observe_at(ap, save_pc);
+  const u32 sp = isa::kDefaultStackTop;
+  EXPECT_EQ(s->acc.reads, (ReadSet{{phys(Reg::o6, 0), sp}}));
+  EXPECT_EQ(s->acc.writes, WriteSet{phys(Reg::o6, kSavedCwp)});
+  EXPECT_NE(phys(Reg::o6, 0), phys(Reg::o6, kSavedCwp));
+
+  auto r = observe_at(ap, restore_pc);
+  EXPECT_EQ(phys(Reg::i0, kSavedCwp), phys(Reg::o0, 0));
+  EXPECT_EQ(r->acc.reads,
+            (ReadSet{{phys(Reg::l0, kSavedCwp), 2}, {phys(Reg::o0, 0), 40}}));
+  EXPECT_EQ(r->acc.writes, WriteSet{phys(Reg::o1, 0)});
+  EXPECT_EQ(r->emu->state().get_reg(isa::reg_num(Reg::o1)), 42u);
+}
+
+TEST(RegObserver, LddAndStdTouchRegisterPairs) {
+  Assembler a("t");
+  const u32 buf = a.data_zero(16);
+  a.set32(Reg::l0, buf);
+  a.set32(Reg::o0, 0xAABBCCDD);
+  a.set32(Reg::o1, 0x11223344);
+  const u32 std_pc = a.current_pc();
+  a.std_(Reg::o0, Reg::l0, 8);
+  const u32 ldd_pc = a.current_pc();
+  a.ldd(Reg::o2, Reg::l0, 8);
+  a.halt();
+
+  const Program ap = a.finalize();
+  auto s = observe_at(ap, std_pc);
+  EXPECT_EQ(s->acc.reads, (ReadSet{{phys(Reg::l0), buf},
+                                   {phys(Reg::o0), 0xAABBCCDD},
+                                   {phys(Reg::o1), 0x11223344}}));
+  EXPECT_TRUE(s->acc.writes.empty());
+
+  auto l = observe_at(ap, ldd_pc);
+  EXPECT_EQ(l->acc.reads, (ReadSet{{phys(Reg::l0), buf}}));
+  EXPECT_EQ(l->acc.writes, (WriteSet{phys(Reg::o2), phys(Reg::o3)}));
+}
+
+TEST(RegObserver, SwapReadsAndWritesItsRegisterLdstubWritesIt) {
+  Assembler a("t");
+  const u32 buf = a.data_u32(0x0000'0000);
+  a.set32(Reg::l0, buf);
+  a.set32(Reg::o2, 0x1234);
+  const u32 swap_pc = a.current_pc();
+  a.swap(Reg::o2, Reg::l0, 0);
+  const u32 ldstub_pc = a.current_pc();
+  a.ldstub(Reg::o3, Reg::l0, 1);
+  a.halt();
+
+  const Program ap = a.finalize();
+  auto s = observe_at(ap, swap_pc);
+  EXPECT_EQ(s->acc.reads,
+            (ReadSet{{phys(Reg::l0), buf}, {phys(Reg::o2), 0x1234}}));
+  EXPECT_EQ(s->acc.writes, WriteSet{phys(Reg::o2)});
+
+  auto l = observe_at(ap, ldstub_pc);
+  EXPECT_EQ(l->acc.reads, (ReadSet{{phys(Reg::l0), buf}}));
+  EXPECT_EQ(l->acc.writes, WriteSet{phys(Reg::o3)});
+}
+
+TEST(RegObserver, StoreAndLoadOperands) {
+  Assembler a("t");
+  const u32 buf = a.data_zero(8);
+  a.set32(Reg::l0, buf);
+  a.set32(Reg::l1, 4);
+  a.set32(Reg::o0, 0x55);
+  const u32 st_pc = a.current_pc();
+  a.stb(Reg::o0, Reg::l0, Reg::l1);
+  const u32 ld_pc = a.current_pc();
+  a.ldub(Reg::o4, Reg::l0, Reg::l1);
+  a.halt();
+
+  const Program ap = a.finalize();
+  auto s = observe_at(ap, st_pc);
+  EXPECT_EQ(s->acc.reads, (ReadSet{{phys(Reg::l0), buf},
+                                   {phys(Reg::l1), 4},
+                                   {phys(Reg::o0), 0x55}}));
+  EXPECT_TRUE(s->acc.writes.empty());
+
+  auto l = observe_at(ap, ld_pc);
+  EXPECT_EQ(l->acc.reads, (ReadSet{{phys(Reg::l0), buf}, {phys(Reg::l1), 4}}));
+  EXPECT_EQ(l->acc.writes, WriteSet{phys(Reg::o4)});
+}
+
+TEST(RegObserver, CallWritesO7AndJmplReadsItsTarget) {
+  Assembler a("t");
+  auto fn = a.label();
+  const u32 call_pc = a.current_pc();
+  a.call(fn);
+  a.nop();
+  a.halt();
+  a.bind(fn);
+  const u32 jmpl_pc = a.current_pc();
+  a.jmpl(Reg::l2, Reg::o7, 8);  // return, keeping the link in %l2
+  a.nop();
+
+  const Program ap = a.finalize();
+  auto c = observe_at(ap, call_pc);
+  EXPECT_TRUE(c->acc.reads.empty());
+  EXPECT_EQ(c->acc.writes, WriteSet{phys(Reg::o7)});
+
+  auto j = observe_at(ap, jmpl_pc);
+  EXPECT_EQ(j->acc.reads, (ReadSet{{phys(Reg::o7), call_pc}}));
+  EXPECT_EQ(j->acc.writes, WriteSet{phys(Reg::l2)});
+}
+
+TEST(RegObserver, BranchTouchesNoRegister) {
+  Assembler a("t");
+  auto done = a.label();
+  a.set32(Reg::o0, 1);
+  a.cmp(Reg::o0, 1);
+  const u32 pc = a.current_pc();
+  a.be(done);
+  a.nop();
+  a.bind(done);
+  a.halt();
+  const Program ap = a.finalize();
+  auto o = observe_at(ap, pc);
+  EXPECT_TRUE(o->acc.reads.empty());
+  EXPECT_TRUE(o->acc.writes.empty());
+}
+
+TEST(RegObserver, WryReadsRdyWrites) {
+  Assembler a("t");
+  a.set32(Reg::o0, 0xFF00FF00);
+  const u32 wr_pc = a.current_pc();
+  a.wry(Reg::o0, 0x0F0);
+  const u32 rd_pc = a.current_pc();
+  a.rdy(Reg::o1);
+  a.halt();
+
+  const Program ap = a.finalize();
+  auto w = observe_at(ap, wr_pc);
+  EXPECT_EQ(w->acc.reads, (ReadSet{{phys(Reg::o0), 0xFF00FF00}}));
+  EXPECT_TRUE(w->acc.writes.empty());
+
+  auto r = observe_at(ap, rd_pc);
+  EXPECT_TRUE(r->acc.reads.empty());
+  EXPECT_EQ(r->acc.writes, WriteSet{phys(Reg::o1)});
+}
+
+// Observing changes nothing: a whole workload stepped observed matches the
+// plain run, on both the fast path and the reference decoder, and every
+// read reports the value the register held.
+TEST(RegObserver, ObservedRunMatchesPlainRun) {
+  // Counts reads of %g0's slot, reads of a value the register does not
+  // hold, and reads after a write of the same instruction as bad.
+  struct Checker final : RegAccessObserver {
+    const ArchState* state = nullptr;
+    u64 reads = 0, writes = 0, bad = 0;
+    bool wrote = false;  ///< the current instruction has written
+    void on_read(unsigned p, u32 v) override {
+      ++reads;
+      if (p == 0 || state->regs[p] != v || wrote) ++bad;
+    }
+    void on_write(unsigned p) override {
+      ++writes;
+      wrote = true;
+      if (p == 0) ++bad;
+    }
+  };
+  const Program prog =
+      workloads::build("rspeed", {.iterations = 1, .data_seed = 1});
+  for (const bool fast : {true, false}) {
+    SCOPED_TRACE(fast ? "fast path" : "reference decoder");
+    Memory plain_mem;
+    Emulator plain(plain_mem);
+    plain.set_fast_path(fast);
+    plain.load(prog);
+    ASSERT_EQ(plain.run(), HaltReason::kHalted);
+
+    Memory mem;
+    Emulator e(mem);
+    e.set_fast_path(fast);
+    e.load(prog);
+    Checker c;
+    c.state = &e.state();
+    do {
+      c.wrote = false;
+    } while (e.step_observed(c) == HaltReason::kRunning);
+    EXPECT_EQ(e.halt_reason(), HaltReason::kHalted);
+    EXPECT_EQ(e.instret(), plain.instret());
+    EXPECT_EQ(e.state(), plain.state());
+    EXPECT_FALSE(e.offcore().compare_writes(plain.offcore()).diverged);
+    EXPECT_TRUE(mem.equals(plain_mem));
+    EXPECT_GT(c.reads, e.instret() / 2);
+    EXPECT_GT(c.writes, e.instret() / 2);
+    EXPECT_EQ(c.bad, 0u);
+  }
 }
 
 }  // namespace

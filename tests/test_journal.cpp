@@ -650,5 +650,50 @@ TEST(IssJournal, FailSiteIsolatesOneSite) {
   }
 }
 
+
+// The register-liveness oracle decides most sites without simulating them;
+// ISSRTL_FAIL_SITE must still reach those sites: a persistent throw ends as
+// an engine error, a one-shot throw is retried to the oracle's record.
+TEST(IssJournal, FailSiteIsolatesOracleSite) {
+  const auto prog = small_workload();
+  fault::IssCampaignConfig cfg;
+  cfg.samples = 20;
+  cfg.models = {iss::IssFaultModel::kBitFlip, iss::IssFaultModel::kStuckAt1};
+  const auto ref = run_iss_campaign_engine(prog, cfg, {});
+  IssCampaignBackend probe(prog, cfg, {});
+  std::vector<std::size_t> decided;
+  for (std::size_t i = 0; i < probe.site_count(); ++i) {
+    if (probe.liveness(i) != IssCampaignBackend::Liveness::kSimulate) {
+      decided.push_back(i);
+    }
+  }
+  ASSERT_GE(decided.size(), 2u);
+  const std::size_t hard = decided[0];
+  const std::size_t once = decided[1];
+
+  for (const unsigned threads : {1u, 3u}) {
+    SCOPED_TRACE(threads);
+    EngineOptions opts;
+    opts.threads = threads;
+    opts.fail_sites =
+        std::to_string(hard) + "," + std::to_string(once) + ":once";
+    const auto r = run_iss_campaign_engine(prog, cfg, opts);
+    ASSERT_EQ(r.runs.size(), ref.runs.size());
+    for (std::size_t i = 0; i < r.runs.size(); ++i) {
+      if (i == hard) {
+        EXPECT_TRUE(r.runs[i].engine_error);
+        EXPECT_NE(r.runs[i].error.find("ISSRTL_FAIL_SITE"), std::string::npos);
+      } else {
+        EXPECT_FALSE(r.runs[i].engine_error) << i;
+        EXPECT_EQ(r.runs[i].failure, ref.runs[i].failure) << i;
+        EXPECT_EQ(r.runs[i].latent, ref.runs[i].latent) << i;
+        EXPECT_EQ(r.runs[i].latency_instr, ref.runs[i].latency_instr) << i;
+      }
+    }
+    EXPECT_EQ(r.replay.sites_retried, 2u);
+    EXPECT_EQ(r.replay.sites_engine_error, 1u);
+  }
+}
+
 }  // namespace
 }  // namespace issrtl::engine

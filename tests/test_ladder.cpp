@@ -242,5 +242,51 @@ TEST(Ladder, IssCampaignLadderInvariant) {
   }
 }
 
+
+// The ISS backend walks its golden run with the block-walk fast loop
+// between stride-grid points; its rungs must be exactly those a
+// step-per-instruction walk records: same instants (auto-stride thinning
+// included) and the same state at each.
+TEST(Ladder, IssGoldenPassRungsMatchPerStepWalk) {
+  const auto prog = workloads::build("rspeed", {.iterations = 1,
+                                                .data_seed = 1});
+  fault::IssCampaignConfig cfg;
+  cfg.samples = 1;
+  for (const u64 stride : {kLadderStrideAuto, u64{977}, u64{7}}) {
+    for (const bool fast : {true, false}) {
+      SCOPED_TRACE("stride " + std::to_string(stride) + ", fast path " +
+                   std::to_string(fast));
+      EngineOptions opts;
+      opts.ladder_stride = stride;
+      opts.iss_fast_path = fast;
+      const IssCampaignBackend backend(prog, cfg, opts);
+
+      CheckpointLadder<iss::ArchState> ref(initial_ladder_stride(stride),
+                                           opts.ladder_max_bytes,
+                                           ladder_rung_limit(stride));
+      Memory mem;
+      iss::Emulator e(mem);
+      e.load(prog);
+      while (e.halt_reason() == iss::HaltReason::kRunning) {
+        if (ref.wants(e.instret())) {
+          ref.record(e.instret(),
+                     std::make_shared<iss::ArchState>(e.state()), 1);
+        }
+        e.step();
+      }
+
+      const auto& got = backend.ladder().rungs();
+      ASSERT_EQ(got.size(), ref.rungs().size());
+      EXPECT_GT(got.size(), 1u);
+      for (std::size_t k = 0; k < got.size(); ++k) {
+        EXPECT_EQ(got[k].instant, ref.rungs()[k].instant) << k;
+        EXPECT_EQ(got[k].snap->emu.instret, got[k].instant) << k;
+        EXPECT_EQ(got[k].snap->emu.state, *ref.rungs()[k].snap) << k;
+      }
+      EXPECT_EQ(backend.ladder().stride(), ref.stride());
+    }
+  }
+}
+
 }  // namespace
 }  // namespace issrtl::engine
