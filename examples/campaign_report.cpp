@@ -215,7 +215,8 @@ int main(int argc, char** argv) try {
   std::printf("replay: ladder %llu rungs (%.1f KiB, %llu evicted), restores "
               "%llu ladder / %llu rolling / %llu cold, fast-forward %llu "
               "cycles, %llu convergence cutoffs, activation oracle %llu "
-              "candidates / %llu silent / %llu scan cycles\n",
+              "candidates / %llu silent (%llu port-read) / %llu scan "
+              "cycles\n",
               static_cast<unsigned long long>(r.replay.ladder_rungs),
               r.replay.ladder_bytes / 1024.0,
               static_cast<unsigned long long>(r.replay.ladder_evicted),
@@ -226,6 +227,7 @@ int main(int argc, char** argv) try {
               static_cast<unsigned long long>(r.replay.convergence_cutoffs),
               static_cast<unsigned long long>(r.replay.activation_candidates),
               static_cast<unsigned long long>(r.replay.activation_silent),
+              static_cast<unsigned long long>(r.replay.activation_port_read),
               static_cast<unsigned long long>(
                   r.replay.activation_scan_cycles));
   if (r.replay.journal_hits != 0 || r.replay.journal_dropped != 0 ||

@@ -137,8 +137,9 @@ int help() {
       "\n"
       "Pf is printed with its 95%% Wilson interval, e.g. 8.3%% [3.6%%, 18.1%%].\n"
       "The replay: line ends with the activation-oracle counters: sites\n"
-      "watched, classified silent and latent without simulation, and the\n"
-      "golden cycles (iss-campaign: instructions) the oracle's scan replayed.\n"
+      "watched, classified silent (of them, on port-read register-file and\n"
+      "cache arrays) and latent without simulation, and the golden cycles\n"
+      "(iss-campaign: instructions) the oracle's scan replayed.\n"
       "The outcome_hash=<hex> line is a fingerprint of every record;\n"
       "it is equal at any thread count and ladder stride.\n"
       "\n"
@@ -249,7 +250,8 @@ void print_replay(const fault::ReplayCounters& rc, const char* instants) {
   std::printf("replay: ladder %llu rungs (%.1f KiB, %llu evicted), restores "
               "%llu ladder / %llu rolling / %llu cold, fast-forward %llu "
               "%s, %llu convergence cutoffs, activation oracle %llu "
-              "candidates / %llu silent / %llu latent / %llu scan %s\n",
+              "candidates / %llu silent (%llu port-read) / %llu latent / "
+              "%llu scan %s\n",
               (unsigned long long)rc.ladder_rungs,
               rc.ladder_bytes / 1024.0,
               (unsigned long long)rc.ladder_evicted,
@@ -260,6 +262,7 @@ void print_replay(const fault::ReplayCounters& rc, const char* instants) {
               (unsigned long long)rc.convergence_cutoffs,
               (unsigned long long)rc.activation_candidates,
               (unsigned long long)rc.activation_silent,
+              (unsigned long long)rc.activation_port_read,
               (unsigned long long)rc.activation_latent,
               (unsigned long long)rc.activation_scan_cycles, instants);
 }

@@ -157,9 +157,11 @@ RtlCampaignBackend::RtlCampaignBackend(const isa::Program& prog,
   const rtl::SimContext& sim = golden.sim();
   node_names_.reserve(sim.node_count());
   node_units_.reserve(sim.node_count());
+  node_port_read_.reserve(sim.node_count());
   for (rtl::NodeId id = 0; id < sim.node_count(); ++id) {
     node_names_.push_back(sim.name(id));
     node_units_.push_back(sim.unit(id));
+    node_port_read_.push_back(sim.port_read(id) ? 1 : 0);
   }
 }
 
@@ -279,12 +281,17 @@ void RtlCampaignBackend::build_activation_table() const {
   // Rung filter: a rung at or after the instant whose bit is off the stuck
   // value (for open-line: off the first such rung's value) is a golden
   // boundary value that activates the fault, so only sites that agree with
-  // every later rung are worth a replay.
+  // every later rung are worth a replay. Port-read sites skip it: their
+  // watch fires on reads, about which a rung value says nothing.
   const auto& rungs = ladder_.rungs();
   std::vector<std::size_t> cands;
   for (std::size_t i = 0; i < sites_.size(); ++i) {
     const fault::FaultSite& s = sites_[i];
     if (!oracle_applies(s)) continue;
+    if (node_port_read_[s.node] != 0) {
+      cands.push_back(i);
+      continue;
+    }
     auto it = std::lower_bound(
         rungs.begin(), rungs.end(), s.inject_cycle,
         [](const auto& r, u64 t) { return r.instant < t; });
@@ -469,6 +476,9 @@ fault::InjectionResult RtlCampaignBackend::Worker::run_site(
     // The faulty run is the golden run: nothing to position or step.
     maybe_fail_site(b_.fail_spec_, fail_attempts_, index);
     b_.activation_silent_.fetch_add(1, std::memory_order_relaxed);
+    if (b_.node_port_read_[site.node] != 0) {
+      b_.activation_port_read_.fetch_add(1, std::memory_order_relaxed);
+    }
     fault::InjectionResult result;
     result.site = site;
     result.outcome = fault::Outcome::kSilent;
@@ -626,6 +636,7 @@ fault::CampaignResult RtlCampaignBackend::finish(EngineRun<Record> run) const {
   result.replay.convergence_cutoffs = convergence_cutoffs_.load();
   result.replay.activation_candidates = activation_candidates_;
   result.replay.activation_silent = activation_silent_.load();
+  result.replay.activation_port_read = activation_port_read_.load();
   result.replay.activation_scan_cycles = activation_scan_cycles_;
   result.replay.journal_hits = run.journal_hits;
   result.replay.journal_dropped = run.journal_dropped;

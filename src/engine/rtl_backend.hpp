@@ -85,7 +85,9 @@ class RtlCampaignBackend {
 
   /// Activation oracle: true when site `i` is a stuck-at or open-line
   /// fault whose bit never differs from the stuck value in any value a
-  /// consumer can read, from its instant to the golden halt. Its faulty
+  /// consumer can read, from its instant to the golden halt — on a
+  /// port-read node (register file, cache arrays), in any port read of
+  /// it (rtl::SimContext::mark_port_read). Its faulty
   /// run is the golden run, so its record is {kSilent, kHalted, latency 0}
   /// without simulating it. Builds the backend's table on first use (one
   /// golden-suffix replay, thread-safe); always false under mixed
@@ -170,8 +172,9 @@ class RtlCampaignBackend {
   /// Whether the activation oracle may decide site `s` (see
   /// never_activated()).
   bool oracle_applies(const fault::FaultSite& s) const noexcept;
-  /// Fill never_activated_: filter the oracle's sites by the ladder rungs,
-  /// then replay the golden run under an rtl::SimContext activation watch.
+  /// Fill never_activated_: filter the oracle's sites by the ladder rungs
+  /// (port-read sites pass unfiltered), then replay the golden run under
+  /// rtl::SimContext activation watches.
   void build_activation_table() const;
 
   isa::Program prog_;
@@ -201,6 +204,7 @@ class RtlCampaignBackend {
   // finish(); the golden core itself does not outlive the constructor.
   std::vector<std::string> node_names_;
   std::vector<std::string> node_units_;
+  std::vector<u8> node_port_read_;  ///< rtl::SimContext::port_read per node
   // Replay economics, accumulated relaxed by the workers (informational
   // only — see fault::ReplayCounters).
   mutable std::atomic<u64> ladder_restores_{0};
@@ -209,6 +213,7 @@ class RtlCampaignBackend {
   mutable std::atomic<u64> fast_forward_cycles_{0};
   mutable std::atomic<u64> convergence_cutoffs_{0};
   mutable std::atomic<u64> activation_silent_{0};
+  mutable std::atomic<u64> activation_port_read_{0};
   // Activation oracle table, built once by the first permanent site.
   mutable std::once_flag activation_once_;
   mutable std::vector<u8> never_activated_;  ///< site-indexed

@@ -167,6 +167,8 @@ struct ReplayCounters {
                                   ///  left by the rung filter)
   u64 activation_silent = 0;      ///< sites classified silent with zero
                                   ///  simulated cycles
+  u64 activation_port_read = 0;   ///< of those, sites on port-read nodes
+                                  ///  (RTL only; ISS 0)
   u64 activation_latent = 0;      ///< sites classified latent with zero
                                   ///  simulated cycles (ISS only; RTL 0)
   u64 activation_scan_cycles = 0; ///< golden cycles (ISS: instructions)

@@ -116,8 +116,27 @@ void SimContext::write_slow(NodeId id, u32 masked) noexcept {
   if (flags_[id] & kFlagBridgeSrc) refresh_bridges_from(id);
   if (flags_[id] & kFlagWatch) {
     const std::size_t slot = watch_slot_[id];
-    const u32 off = watched_[slot].off(cur_[id]);
-    if (off != 0) activate_watches(slot, off);
+    const u32 off = value_watches_.nodes[slot].off(cur_[id]);
+    if (off != 0) activate_watches(value_watches_, kFlagWatch, slot, off);
+  }
+}
+
+void SimContext::drain_read_log() noexcept {
+  const std::size_t len = read_log_len_;
+  read_log_len_ = 0;
+  if (len > read_log_.size()) {
+    // Lost reads: activate every pending read watch.
+    while (!read_watches_.nodes.empty()) {
+      activate_watches(read_watches_, kFlagReadWatch, 0, ~0u);
+    }
+    return;
+  }
+  for (std::size_t i = 0; i < len && reads_watched_; ++i) {
+    const auto [id, value] = read_log_[i];
+    if (!(flags_[id] & kFlagReadWatch)) continue;
+    const std::size_t slot = watch_slot_[id];
+    const u32 off = read_watches_.nodes[slot].off(value);
+    if (off != 0) activate_watches(read_watches_, kFlagReadWatch, slot, off);
   }
 }
 
@@ -136,28 +155,37 @@ std::size_t SimContext::watch_activation(NodeId id, FaultModel model, u8 bit) {
       throw std::invalid_argument(
           "watch_activation: only stuck-at and open-line faults persist");
   }
+  // Reads logged before this boundary belong to the watches already set.
+  drain_read_log();
+  // A port-read node's boundary value reaches no consumer by itself.
+  const bool read_activated = meta_[id].port_read;
   const std::size_t handle = watches_.size();
-  watches_.push_back(Watch{mask, want, (cur_[id] & mask) != want});
+  watches_.push_back(
+      Watch{mask, want, !read_activated && (cur_[id] & mask) != want});
   if (watches_.back().hit) return handle;  // the boundary value differs
-  if (!(flags_[id] & kFlagWatch)) {
+  WatchSet& set = read_activated ? read_watches_ : value_watches_;
+  const u8 flag = read_activated ? kFlagReadWatch : kFlagWatch;
+  if (!(flags_[id] & flag)) {
     if (watch_slot_.size() < meta_.size()) watch_slot_.resize(meta_.size());
-    watch_slot_[id] = watched_.size();
-    watched_.push_back(WatchedNode{id, 0, 0});
-    watch_pending_.emplace_back();
-    flags_[id] |= kFlagWatch;
+    watch_slot_[id] = set.nodes.size();
+    set.nodes.push_back(WatchedNode{id, 0, 0});
+    set.pending.emplace_back();
+    flags_[id] |= flag;
+    reads_watched_ = !read_watches_.nodes.empty();
   }
   const std::size_t slot = watch_slot_[id];
-  (want != 0 ? watched_[slot].want1 : watched_[slot].want0) |= mask;
-  watch_pending_[slot].push_back(handle);
+  (want != 0 ? set.nodes[slot].want1 : set.nodes[slot].want0) |= mask;
+  set.pending[slot].push_back(handle);
   ++watches_pending_;
   return handle;
 }
 
-void SimContext::activate_watches(std::size_t slot, u32 off) noexcept {
+void SimContext::activate_watches(WatchSet& set, u8 flag, std::size_t slot,
+                                  u32 off) noexcept {
   // Activate the handles whose bit moved and rebuild the expectation from
   // the rest (a node holds a handful of watches, so this stays cheap).
-  WatchedNode& w = watched_[slot];
-  std::vector<std::size_t>& pending = watch_pending_[slot];
+  WatchedNode& w = set.nodes[slot];
+  std::vector<std::size_t>& pending = set.pending[slot];
   w.want0 = 0;
   w.want1 = 0;
   std::size_t kept = 0;
@@ -173,25 +201,28 @@ void SimContext::activate_watches(std::size_t slot, u32 off) noexcept {
   }
   pending.resize(kept);
   if (kept != 0) return;
-  flags_[w.id] &= static_cast<u8>(~kFlagWatch);
-  if (slot + 1 != watched_.size()) {
-    watched_[slot] = watched_.back();
-    watch_pending_[slot] = std::move(watch_pending_.back());
-    watch_slot_[watched_[slot].id] = slot;
+  flags_[w.id] &= static_cast<u8>(~flag);
+  if (slot + 1 != set.nodes.size()) {
+    set.nodes[slot] = set.nodes.back();
+    set.pending[slot] = std::move(set.pending.back());
+    watch_slot_[set.nodes[slot].id] = slot;
   }
-  watched_.pop_back();
-  watch_pending_.pop_back();
+  set.nodes.pop_back();
+  set.pending.pop_back();
+  reads_watched_ = !read_watches_.nodes.empty();
 }
 
 void SimContext::sweep_watches() noexcept {
+  drain_read_log();
   // Branch-free scan first: in the common cycle nothing moved.
+  std::vector<WatchedNode>& nodes = value_watches_.nodes;
   u32 any = 0;
-  for (const WatchedNode& w : watched_) any |= w.off(cur_[w.id]);
+  for (const WatchedNode& w : nodes) any |= w.off(cur_[w.id]);
   if (any == 0) return;
   // Backwards, so activate_watches' swap-remove never skips a slot.
-  for (std::size_t slot = watched_.size(); slot-- > 0;) {
-    const u32 off = watched_[slot].off(cur_[watched_[slot].id]);
-    if (off != 0) activate_watches(slot, off);
+  for (std::size_t slot = nodes.size(); slot-- > 0;) {
+    const u32 off = nodes[slot].off(cur_[nodes[slot].id]);
+    if (off != 0) activate_watches(value_watches_, kFlagWatch, slot, off);
   }
 }
 

@@ -20,7 +20,8 @@
 // like a synchronous netlist with one clock).
 //
 // Fault discipline: the value array always holds the value *consumers see*.
-// Reads are therefore branch-free; the (at most a handful of) armed nodes
+// Reads therefore never branch on a fault (a port read tests one watch
+// flag, see read_port); the (at most a handful of) armed nodes
 // carry their true raw value in a shadow slot, and the overlay is re-applied
 // write-through at every point the raw value can change (w/poke on the node,
 // writes to a bridge aggressor, commit_all, zero_all, load_values). A faulted
@@ -30,6 +31,7 @@
 // core (and so a context) and evaluate one fault site at a time.
 #pragma once
 
+#include <array>
 #include <cstring>
 #include <optional>
 #include <string>
@@ -56,6 +58,10 @@ class Sig {
 
   /// Read the node value as consumers see it (fault overlay pre-applied).
   u32 r() const noexcept;
+
+  /// Read through a port of a SimContext::mark_port_read node: the same
+  /// value as r(), and the only read that can activate a watch on it.
+  u32 rp() const noexcept;
 
   /// Read as boolean (for 1-bit control signals).
   bool rb() const noexcept { return r() != 0; }
@@ -149,6 +155,30 @@ class SimContext {
   /// cache tag/data nodes, which are registered consecutively) index from
   /// a base id without per-access handle loads.
   u32 value_at(NodeId id) const noexcept { return cur_[id]; }
+
+  /// Declare `id` port-read: every consumer of the node reads it through
+  /// read_port() / Sig::rp(), never through r() or value_at(). Modules
+  /// with private storage arrays behind explicit read ports (the register
+  /// file, the cache tag/valid/data arrays) mark their nodes at
+  /// construction, before any watch is set on them. See watch_activation
+  /// for what this changes.
+  void mark_port_read(NodeId id) { meta_.at(id).port_read = true; }
+  bool port_read(NodeId id) const { return meta_.at(id).port_read; }
+
+  /// Unchecked port read of a port-read node: value_at() plus one test
+  /// of a context-wide flag that is set only while a read watch is
+  /// pending. Under it the read is appended to a fixed log that
+  /// sweep_watches() checks. There is no call on this path: an
+  /// out-of-line call here, even one never taken, costs up to ~10% of
+  /// every simulated cycle through the code generated around it.
+  u32 read_port(NodeId id) noexcept {
+    const u32 v = cur_[id];
+    if (reads_watched_) [[unlikely]] {
+      if (read_log_len_ < read_log_.size()) read_log_[read_log_len_] = {id, v};
+      ++read_log_len_;
+    }
+    return v;
+  }
 
   /// Total injectable bits in nodes whose unit starts with `unit_prefix`
   /// (empty prefix = whole design). This is the paper's "number of fault
@@ -276,12 +306,22 @@ class SimContext {
   // flag bit, so their write-throughs take the existing slow path; commits
   // are checked by sweep_watches(), which the caller runs after every
   // step. The fast paths (Sig::w/n, commit_all) pay nothing.
+  //
+  // Port-read nodes (mark_port_read) are read-activated instead: their
+  // consumers only see the node through read_port(), so a fault there
+  // changes the run only once a port read returns the bit off v. Their
+  // watches ignore the boundary value, write-throughs and commits, and
+  // fire on the first such read; for open-line, v is still the bit's value
+  // at the instant. Reads of the raw value (raw_value, save_values) are
+  // state inspection, not consumers. Port reads are logged while a read
+  // watch is pending and checked by sweep_watches() too.
 
   /// Start watching (id, bit) for a `model` fault armed now. v is 0/1 for
   /// stuck-at and the bit's current value for open-line (what arm_fault
   /// would freeze). A boundary value already off v activates the watch
-  /// on the spot. Returns the watch handle. Throws std::invalid_argument
-  /// for transient and bridge models, std::out_of_range for a bad bit.
+  /// on the spot, unless the node is port-read. Returns the watch handle.
+  /// Throws std::invalid_argument for transient and bridge models,
+  /// std::out_of_range for a bad bit.
   std::size_t watch_activation(NodeId id, FaultModel model, u8 bit);
 
   /// Whether watch `handle` has seen its bit leave v since it was set.
@@ -290,24 +330,41 @@ class SimContext {
   /// Watches still waiting for an activation.
   std::size_t watches_pending() const noexcept { return watches_pending_; }
 
-  /// Check every pending watch against the node's current value — call
-  /// after each clock edge so register commits are observed.
+  /// Whether node `id` still has a pending watch (either kind).
+  bool watched(NodeId id) const {
+    return (flags_.at(id) & (kFlagWatch | kFlagReadWatch)) != 0;
+  }
+
+  /// Check every pending watch on a node that is not port-read against
+  /// the node's current value, and every port read logged since the last
+  /// sweep against the read watches — call after each clock edge so
+  /// register commits are observed. A log that overflowed (more than
+  /// kReadLogSize port reads between two sweeps) lost reads, so it
+  /// activates every pending read watch: a site is then simulated, never
+  /// misclassified.
   void sweep_watches() noexcept;
+
+  /// Port reads one sweep can check; a clock cycle of the shipped core
+  /// makes at most a dozen.
+  static constexpr std::size_t kReadLogSize = 64;
 
  private:
   friend class Sig;
 
   // flags_ bits: the node carries an armed overlay / is a bridge aggressor /
-  // has a pending activation watch.
+  // has a pending activation watch / has a pending read watch (port-read
+  // nodes only).
   static constexpr u8 kFlagOverlay = 1;
   static constexpr u8 kFlagBridgeSrc = 2;
   static constexpr u8 kFlagWatch = 4;
+  static constexpr u8 kFlagReadWatch = 8;
 
   struct NodeMeta {
     std::string name;
     u32 unit;  ///< index into units_ (unit strings repeat heavily)
     u8 width;
     NodeKind kind;
+    bool port_read = false;  ///< see mark_port_read
   };
 
   struct ArmedFault {
@@ -355,16 +412,31 @@ class SimContext {
     }
   };
 
+  /// Nodes with pending watches of one kind, plus each node's pending
+  /// watch handles (same index).
+  struct WatchSet {
+    std::vector<WatchedNode> nodes;
+    std::vector<std::vector<std::size_t>> pending;
+  };
+
   void write_slow(NodeId id, u32 masked) noexcept;
-  /// Activate the pending watches of watched_[slot] on the bits in `off`;
-  /// drops the slot once none is left.
-  void activate_watches(std::size_t slot, u32 off) noexcept;
+  /// Check the logged port reads against the read watches and empty the
+  /// log (see sweep_watches).
+  void drain_read_log() noexcept;
+  /// Activate the pending watches of set.nodes[slot] on the bits in
+  /// `off`; drops the slot, and clears `flag` on its node, once none is
+  /// left.
+  void activate_watches(WatchSet& set, u8 flag, std::size_t slot,
+                        u32 off) noexcept;
   void reapply_overlays() noexcept;
   void refresh_bridges_from(NodeId aggressor) noexcept;
   u32 apply_overlay(const ArmedFault& f) const noexcept;
 
   // Hot structure-of-arrays state, indexed by NodeId.
   std::vector<u32> cur_;   ///< value consumers see (overlay pre-applied)
+  /// read_watches_ is not empty. Beside cur_ so that read_port() touches
+  /// no cache line a plain read does not.
+  bool reads_watched_ = false;
   std::vector<u32> nxt_;   ///< raw next value (mirrors cur_ for wires)
   std::vector<u8> flags_;
   std::vector<u32> mask_;  ///< low_mask64(width)
@@ -387,15 +459,23 @@ class SimContext {
   bool sparse_pending_ = false;  ///< next make() call is a sparse register
 
   // Activation watches (empty unless watch_activation() was called).
-  std::vector<Watch> watches_;            ///< indexed by handle
-  std::vector<WatchedNode> watched_;      ///< nodes with pending watches
-  /// Pending watch handles of each watched_ entry (same index).
-  std::vector<std::vector<std::size_t>> watch_pending_;
-  std::vector<std::size_t> watch_slot_;   ///< NodeId -> watched_ index
+  std::vector<Watch> watches_;   ///< indexed by handle
+  WatchSet value_watches_;       ///< checked on write-throughs and commits
+  WatchSet read_watches_;        ///< port-read nodes: checked on port reads
+  /// NodeId -> index into the node's set (value_ or read_watches_).
+  std::vector<std::size_t> watch_slot_;
   std::size_t watches_pending_ = 0;
+  /// One logged port read: the node and the value it returned.
+  struct PortRead {
+    NodeId id = 0;
+    u32 value = 0;
+  };
+  std::array<PortRead, kReadLogSize> read_log_{};
+  std::size_t read_log_len_ = 0;  ///< reads since the last drain
 };
 
 inline u32 Sig::r() const noexcept { return ctx_->cur_[id_]; }
+inline u32 Sig::rp() const noexcept { return ctx_->read_port(id_); }
 inline void Sig::w(u32 v) noexcept { ctx_->write_at(id_, v); }
 inline void Sig::n(u32 v) noexcept { ctx_->next_at(id_, v); }
 inline void Sig::ns(u32 v) noexcept { ctx_->next_sparse_at(id_, v); }

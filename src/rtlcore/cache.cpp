@@ -35,18 +35,22 @@ Cache::Cache(rtl::SimContext& ctx, const std::string& unit,
   tag0_ = tags_[0].id();
   valid0_ = valids_[0].id();
   data0_ = data_[0].id();
+  for (const auto* array : {&tags_, &valids_, &data_}) {
+    for (const rtl::Sig& s : *array) ctx.mark_port_read(s.id());
+  }
 }
 
 bool Cache::hit(u32 addr) const {
   // Tag i and valid i are 2 NodeIds apart (registered pairwise); data words
-  // are consecutive. value_at skips the per-node handle loads.
+  // are consecutive. read_port skips the per-node handle loads. The tag is
+  // read only on a valid line.
   const u32 idx = line_index(addr);
-  return ctx_->value_at(valid0_ + 2 * idx) != 0 &&
-         ctx_->value_at(tag0_ + 2 * idx) == tag_of(addr);
+  return ctx_->read_port(valid0_ + 2 * idx) != 0 &&
+         ctx_->read_port(tag0_ + 2 * idx) == tag_of(addr);
 }
 
 u32 Cache::read_word(u32 addr) const {
-  return ctx_->value_at(data0_ + word_slot(addr));
+  return ctx_->read_port(data0_ + word_slot(addr));
 }
 
 void Cache::fill_line(u64 cycle, u32 addr) {
@@ -94,12 +98,13 @@ void Cache::store(u64 cycle, u32 addr, u8 size, u32 value) {
   }
   if (!hit(addr)) return;  // no-allocate
   rtl::Sig& word = data_[word_slot(addr)];
+  if (size == 4) {
+    word.w(value);  // a full-word store reads nothing back
+    return;
+  }
   const u32 byte_in_word = addr & 3u;   // big-endian lane selection
-  u32 cur = word.r();
+  u32 cur = word.rp();  // read-modify-write of a partial word
   switch (size) {
-    case 4:
-      cur = value;
-      break;
     case 2: {
       const u32 shift = (2 - byte_in_word) * 8;
       cur = (cur & ~(0xFFFFu << shift)) | ((value & 0xFFFFu) << shift);

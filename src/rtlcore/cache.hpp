@@ -1,5 +1,7 @@
 // CMEM: direct-mapped, write-through, no-allocate caches with tag/valid/data
 // arrays modelled as injectable nodes (HDL "variables" — immediate update).
+// The arrays are port-read (rtl::SimContext::mark_port_read): hit() and
+// read_word() are their only consumers.
 //
 // The write-through policy matters for the methodology: every store reaches
 // the bus in program order, so a golden RTL run and the (cache-less)
@@ -73,8 +75,8 @@ class Cache {
   std::vector<rtl::Sig> valids_;
   std::vector<rtl::Sig> data_;
   // First node ids for the hit/read fast path: the tag/valid pairs and the
-  // data words are registered consecutively, so a lookup is one value_at()
-  // with an offset instead of a Sig-handle load per node.
+  // data words are registered consecutively, so a lookup is one
+  // read_port() with an offset instead of a Sig-handle load per node.
   rtl::NodeId tag0_ = 0, valid0_ = 0, data0_ = 0;
   rtl::Sig busy_;
   rtl::Sig pending_addr_;

@@ -1,5 +1,7 @@
 // Windowed SPARC register file as an RTL module: one register node per
-// physical entry (8 globals + 8 windows x 16), all injectable.
+// physical entry (8 globals + 8 windows x 16), all injectable. The entries
+// are port-read (rtl::SimContext::mark_port_read): the core sees them only
+// through read_phys, and arch_state inspects raw values via peek_phys.
 #pragma once
 
 #include <vector>
@@ -18,6 +20,7 @@ class RegFile {
       // per cycle (the WB ports), so the clock edge commits them from the
       // dirty list instead of copying the whole file every cycle.
       regs_.push_back(ctx.reg_sparse(entry_name(i), "iu.regfile", 32));
+      ctx.mark_port_read(regs_.back().id());
     }
   }
 
@@ -29,7 +32,7 @@ class RegFile {
   /// fault (e.g. a stuck bit in a dphys latch) and exceed the table; the
   /// address decoder aliases out-of-range indices back into it, like
   /// hardware ignoring unimplemented address bits.
-  u32 read_phys(unsigned phys) const { return regs_[wrap(phys)].r(); }
+  u32 read_phys(unsigned phys) const { return regs_[wrap(phys)].rp(); }
 
   /// Architectural read under a window pointer.
   u32 read(unsigned arch_reg, unsigned cwp) const {

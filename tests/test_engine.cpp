@@ -241,7 +241,10 @@ CampaignConfig oracle_cfg() {
 
 // Every site the oracle classifies without simulating it, re-simulated from
 // reset on a bare core with its fault armed, is indistinguishable from the
-// golden run: same halt cycle, writes, architectural state and memory.
+// golden run: same halt cycle, writes, architectural state and memory. The
+// decided sites include port-read register-file and cache-array sites whose
+// golden value leaves the stuck value after the instant — sites only the
+// read-activated watch can decide.
 TEST(ActivationOracle, ClassifiedSitesAreSilentFromReset) {
   const auto prog = small_workload();
   const CampaignConfig cfg = oracle_cfg();
@@ -259,7 +262,9 @@ TEST(ActivationOracle, ClassifiedSitesAreSilentFromReset) {
 
   std::size_t oracle = 0;
   std::set<std::string> units;
+  std::set<std::string> port_read_units;
   std::set<FaultModel> models;
+  std::vector<fault::FaultSite> port_read_sites;
   for (std::size_t i = 0; i < backend.site_count(); ++i) {
     if (!backend.never_activated(i)) continue;
     ++oracle;
@@ -267,6 +272,10 @@ TEST(ActivationOracle, ClassifiedSitesAreSilentFromReset) {
     const fault::InjectionResult& rec = r.runs[i];
     units.insert(rec.unit.substr(0, rec.unit.find('.')));
     models.insert(site.model);
+    if (golden.sim().port_read(site.node)) {
+      port_read_units.insert(rec.unit);
+      port_read_sites.push_back(site);
+    }
     EXPECT_EQ(rec.outcome, fault::Outcome::kSilent) << i;
     EXPECT_EQ(rec.latency_cycles, 0u) << i;
     EXPECT_EQ(rec.halt, iss::HaltReason::kHalted) << i;
@@ -291,9 +300,54 @@ TEST(ActivationOracle, ClassifiedSitesAreSilentFromReset) {
   EXPECT_GT(oracle, 0u);
   EXPECT_LT(oracle, backend.site_count());
   EXPECT_EQ(units, (std::set<std::string>{"cmem", "iu"}));
-  // Stuck-at-1 sites rarely stay unactivated here: most bits idle at 0.
-  EXPECT_EQ(models.count(FaultModel::kStuckAt0), 1u);
-  EXPECT_EQ(models.count(FaultModel::kOpenLine), 1u);
+  // Stuck-at-1 sites are decided too: a register-file or cache entry idling
+  // at 0 is harmless until a port reads it.
+  EXPECT_EQ(models, (std::set<FaultModel>{FaultModel::kStuckAt0,
+                                          FaultModel::kStuckAt1,
+                                          FaultModel::kOpenLine}));
+  EXPECT_EQ(port_read_units.count("iu.regfile"), 1u);
+  EXPECT_TRUE(port_read_units.count("cmem.icache") +
+                  port_read_units.count("cmem.dcache") >
+              0);
+  EXPECT_EQ(r.replay.activation_port_read, port_read_sites.size());
+
+  // One more golden pass: count the decided port-read sites whose golden
+  // value has the bit off v (open-line: the bit at the instant) at some
+  // cycle boundary at or after the instant. The value watch activates on
+  // such a boundary value, so only the read-activated watch decides them.
+  std::sort(port_read_sites.begin(), port_read_sites.end(),
+            [](const fault::FaultSite& a, const fault::FaultSite& b) {
+              return a.inject_cycle < b.inject_cycle;
+            });
+  std::vector<u32> want(port_read_sites.size());
+  std::vector<bool> off_at_boundary(port_read_sites.size(), false);
+  Memory mem;
+  rtlcore::Leon3Core core(mem);
+  core.load(prog);
+  std::size_t armed = 0;
+  for (;;) {
+    const rtl::SimContext& sim = core.sim();
+    while (armed < port_read_sites.size() &&
+           std::min(port_read_sites[armed].inject_cycle, golden.cycles()) ==
+               core.cycles()) {
+      const fault::FaultSite& s = port_read_sites[armed];
+      const u32 mask = 1u << s.bit;
+      want[armed++] = s.model == FaultModel::kStuckAt1   ? mask
+                      : s.model == FaultModel::kOpenLine ? sim.value(s.node) & mask
+                                                         : 0;
+    }
+    for (std::size_t k = 0; k < armed; ++k) {
+      const fault::FaultSite& s = port_read_sites[k];
+      if ((sim.value(s.node) & (1u << s.bit)) != want[k]) {
+        off_at_boundary[k] = true;
+      }
+    }
+    if (core.halt_reason() != iss::HaltReason::kRunning) break;
+    core.step();
+  }
+  EXPECT_EQ(armed, port_read_sites.size());
+  EXPECT_GT(std::count(off_at_boundary.begin(), off_at_boundary.end(), true),
+            0);
   EXPECT_EQ(r.replay.activation_silent, oracle);
   EXPECT_GE(r.replay.activation_candidates, oracle);
   EXPECT_GT(r.replay.activation_scan_cycles, 0u);

@@ -371,14 +371,20 @@ TEST(Shutdown, StopFlagTruncatesThreadedRun) {
 
 TEST(Shutdown, DeadlineTruncates) {
   const auto prog = small_workload();
-  const auto cfg = small_cfg();
+  // Transient flips in the execute stage: no oracle decides them, so every
+  // site is restored and stepped, and 1 ms cannot cover 400 of them.
+  CampaignConfig cfg;
+  cfg.unit_prefix = "iu.ex";
+  cfg.samples = 400;
+  cfg.models = {FaultModel::kTransientBitFlip};
+  cfg.inject_time = fault::InjectTime::kUniformRandom;
   EngineOptions opts;
   opts.threads = 1;
-  opts.deadline_ms = 1;  // expires long before 24 RTL sites can finish
+  opts.deadline_ms = 1;
   const CampaignResult r = run_rtl_campaign(prog, cfg, {}, opts);
   EXPECT_TRUE(r.truncated);
   EXPECT_LT(r.completed_sites, r.total_sites);
-  EXPECT_EQ(r.total_sites, 24u);
+  EXPECT_EQ(r.total_sites, 400u);
 }
 
 TEST(Shutdown, SignalStopFlagIsSticky) {

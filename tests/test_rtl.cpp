@@ -332,6 +332,217 @@ TEST(ActivationWatch, BitHeldAtStuckValueNeverActivates) {
   EXPECT_EQ(ctx.watches_pending(), 2u);
 }
 
+// A port-read node's consumers see it only through read_port(): boundary
+// values, writes and commits that leave the bit off v reach no one, and only
+// an off port read activates the watch (at the next sweep, which checks the
+// reads logged since the last one).
+TEST(ActivationWatch, PortReadNodeActivatesOnOffReadOnly) {
+  SimContext ctx;
+  Sig r = ctx.reg("entry", "iu.regfile", 32);
+  Sig w = ctx.wire("word", "cmem.dcache", 32);
+  ctx.mark_port_read(r.id());
+  ctx.mark_port_read(w.id());
+  EXPECT_TRUE(ctx.port_read(r.id()));
+  EXPECT_FALSE(ctx.port_read(ctx.reg("other", "iu.special", 32).id()));
+
+  const std::size_t hr =
+      ctx.watch_activation(r.id(), FaultModel::kStuckAt1, 0);
+  const std::size_t hw =
+      ctx.watch_activation(w.id(), FaultModel::kStuckAt1, 3);
+  EXPECT_FALSE(ctx.activated(hr));  // boundary value 0 is off 1: ignored
+  EXPECT_FALSE(ctx.activated(hw));
+  r.n(0x2);
+  clock(ctx);  // an off commit...
+  w.w(0x10);   // ...and an off write-through
+  r.poke(0x4);
+  clock(ctx);
+  EXPECT_FALSE(ctx.activated(hr));
+  EXPECT_FALSE(ctx.activated(hw));
+  EXPECT_EQ(ctx.watches_pending(), 2u);
+
+  // Reads that see the bit at v do not activate; r() is not a port read.
+  w.w(0x8);
+  EXPECT_EQ(w.rp(), 0x8u);
+  EXPECT_EQ(r.r(), 0x4u);
+  EXPECT_EQ(ctx.value_at(r.id()), 0x4u);
+  ctx.sweep_watches();
+  EXPECT_FALSE(ctx.activated(hr));
+  EXPECT_FALSE(ctx.activated(hw));
+
+  // The first off port read does, even if the bit is back at v by the
+  // sweep.
+  EXPECT_EQ(ctx.read_port(r.id()), 0x4u);
+  r.poke(0x5);
+  ctx.sweep_watches();
+  EXPECT_TRUE(ctx.activated(hr));
+  EXPECT_FALSE(ctx.activated(hw));
+  w.w(0x0);
+  EXPECT_EQ(w.rp(), 0x0u);
+  w.w(0x8);
+  clock(ctx);
+  EXPECT_TRUE(ctx.activated(hw));
+  EXPECT_EQ(ctx.watches_pending(), 0u);
+}
+
+TEST(ActivationWatch, PortReadOpenLineUsesValueAtInstant) {
+  SimContext ctx;
+  Sig r = ctx.reg("entry", "iu.regfile", 32);
+  ctx.mark_port_read(r.id());
+  r.poke(0x1);
+  const std::size_t hi =
+      ctx.watch_activation(r.id(), FaultModel::kOpenLine, 0);
+  const std::size_t lo =
+      ctx.watch_activation(r.id(), FaultModel::kOpenLine, 1);
+  r.n(0x2);  // both bits leave their captured values, unread
+  clock(ctx);
+  r.n(0x1);
+  clock(ctx);
+  EXPECT_EQ(r.rp(), 0x1u);
+  ctx.sweep_watches();
+  EXPECT_FALSE(ctx.activated(hi));
+  EXPECT_FALSE(ctx.activated(lo));
+  r.n(0x3);
+  clock(ctx);
+  EXPECT_EQ(r.rp(), 0x3u);  // bit 1 read off its captured 0
+  ctx.sweep_watches();
+  EXPECT_FALSE(ctx.activated(hi));
+  EXPECT_TRUE(ctx.activated(lo));
+}
+
+// rp() returns r()'s value with and without an armed overlay, and whether
+// or not a read watch is logging the reads.
+TEST(ActivationWatch, PortReadEqualsReadUnderOverlay) {
+  SimContext ctx;
+  Sig r = ctx.reg_sparse("entry", "iu.regfile", 32);
+  Sig w = ctx.wire("word", "cmem.dcache", 32);
+  ctx.mark_port_read(r.id());
+  ctx.mark_port_read(w.id());
+  r.ns(0xF0);
+  ctx.commit_all();
+  w.w(0x0F);
+  EXPECT_EQ(r.rp(), r.r());
+  EXPECT_EQ(w.rp(), w.r());
+  ctx.arm_fault(r.id(), FaultModel::kStuckAt1, 0);
+  ctx.arm_fault(w.id(), FaultModel::kStuckAt0, 0);
+  EXPECT_EQ(r.rp(), 0xF1u);
+  EXPECT_EQ(r.rp(), r.r());
+  EXPECT_EQ(w.rp(), 0x0Eu);
+  EXPECT_EQ(w.rp(), w.r());
+  EXPECT_EQ(ctx.read_port(w.id()), w.r());
+  EXPECT_EQ(r.raw(), 0xF0u);  // state inspection still sees the raw value
+  r.ns(0x00);
+  ctx.commit_all();
+  EXPECT_EQ(r.rp(), 0x01u);
+  EXPECT_EQ(r.rp(), r.r());
+
+  const std::size_t h = ctx.watch_activation(r.id(), FaultModel::kStuckAt1, 4);
+  EXPECT_EQ(r.rp(), 0x01u);
+  EXPECT_EQ(w.rp(), w.r());
+  ctx.sweep_watches();
+  EXPECT_TRUE(ctx.activated(h));
+}
+
+// The read-watch flags go once the node's last watch fires, and a later
+// watch re-registers cleanly.
+TEST(ActivationWatch, PortReadFlagClearedByLastWatch) {
+  SimContext ctx;
+  Sig a = ctx.reg("a", "iu.regfile", 32);
+  Sig b = ctx.reg("b", "iu.regfile", 32);
+  ctx.mark_port_read(a.id());
+  ctx.mark_port_read(b.id());
+  const auto read = [&](Sig s) {
+    (void)s.rp();
+    ctx.sweep_watches();
+  };
+  const std::size_t a0 = ctx.watch_activation(a.id(), FaultModel::kStuckAt1, 0);
+  const std::size_t a5 = ctx.watch_activation(a.id(), FaultModel::kStuckAt0, 5);
+  const std::size_t b2 = ctx.watch_activation(b.id(), FaultModel::kStuckAt0, 2);
+  EXPECT_TRUE(ctx.watched(a.id()));
+  EXPECT_TRUE(ctx.watched(b.id()));
+  read(a);  // bit 0 reads 0: a0 fires, a5 stays
+  EXPECT_TRUE(ctx.activated(a0));
+  EXPECT_FALSE(ctx.activated(a5));
+  EXPECT_TRUE(ctx.watched(a.id()));
+  a.poke(0x20);
+  read(a);
+  EXPECT_TRUE(ctx.activated(a5));
+  EXPECT_FALSE(ctx.watched(a.id()));
+  EXPECT_TRUE(ctx.watched(b.id()));  // b moved into a's slot
+  b.poke(0x4);
+  read(b);
+  EXPECT_TRUE(ctx.activated(b2));
+  EXPECT_FALSE(ctx.watched(b.id()));
+  EXPECT_EQ(ctx.watches_pending(), 0u);
+
+  const std::size_t again =
+      ctx.watch_activation(a.id(), FaultModel::kStuckAt1, 5);
+  EXPECT_TRUE(ctx.watched(a.id()));
+  read(a);
+  EXPECT_FALSE(ctx.activated(again));
+  a.poke(0);
+  read(a);
+  EXPECT_TRUE(ctx.activated(again));
+  EXPECT_FALSE(ctx.watched(a.id()));
+}
+
+// More port reads between two sweeps than the log holds: the lost reads
+// might have been off v, so every pending read watch activates.
+TEST(ActivationWatch, PortReadLogOverflowActivatesReadWatches) {
+  SimContext ctx;
+  Sig a = ctx.reg("a", "iu.regfile", 32);
+  Sig b = ctx.reg("b", "iu.regfile", 32);
+  Sig r = ctx.reg("r", "iu.special", 32);
+  ctx.mark_port_read(a.id());
+  ctx.mark_port_read(b.id());
+  const std::size_t ha = ctx.watch_activation(a.id(), FaultModel::kStuckAt0, 0);
+  const std::size_t hb = ctx.watch_activation(b.id(), FaultModel::kStuckAt0, 1);
+  const std::size_t hr = ctx.watch_activation(r.id(), FaultModel::kStuckAt0, 0);
+  for (std::size_t i = 0; i < SimContext::kReadLogSize; ++i) (void)a.rp();
+  ctx.sweep_watches();  // a full log is still exact
+  EXPECT_EQ(ctx.watches_pending(), 3u);
+  for (std::size_t i = 0; i <= SimContext::kReadLogSize; ++i) (void)a.rp();
+  ctx.sweep_watches();
+  EXPECT_TRUE(ctx.activated(ha));
+  EXPECT_TRUE(ctx.activated(hb));
+  EXPECT_FALSE(ctx.activated(hr));
+  EXPECT_FALSE(ctx.watched(a.id()));
+  EXPECT_FALSE(ctx.watched(b.id()));
+  EXPECT_EQ(ctx.watches_pending(), 1u);
+}
+
+// Marking some nodes port-read leaves the watches of the others exactly as
+// before: activated by the boundary value, write-throughs and commits, and
+// not by reads.
+TEST(ActivationWatch, OrdinaryNodesUnchangedBesidePortReadNodes) {
+  SimContext ctx;
+  Sig port = ctx.reg("entry", "iu.regfile", 32);
+  Sig r = ctx.reg("r", "iu.special", 32);
+  Sig w = ctx.wire("w", "iu.alu", 32);
+  ctx.mark_port_read(port.id());
+  const std::size_t hp =
+      ctx.watch_activation(port.id(), FaultModel::kStuckAt0, 0);
+  const std::size_t hb =
+      ctx.watch_activation(r.id(), FaultModel::kStuckAt1, 0);
+  const std::size_t hr =
+      ctx.watch_activation(r.id(), FaultModel::kStuckAt0, 1);
+  const std::size_t hw =
+      ctx.watch_activation(w.id(), FaultModel::kStuckAt0, 2);
+  EXPECT_TRUE(ctx.activated(hb));  // boundary value off v
+  EXPECT_FALSE(ctx.activated(hr));
+  EXPECT_EQ(r.rp(), 0u);
+  EXPECT_EQ(w.rp(), 0u);
+  port.n(0x1);
+  r.n(0x2);
+  clock(ctx);
+  EXPECT_TRUE(ctx.activated(hr));   // commit
+  EXPECT_FALSE(ctx.activated(hp));  // the port-read node's commit is unseen
+  w.w(0x4);
+  EXPECT_TRUE(ctx.activated(hw));   // write-through
+  EXPECT_FALSE(ctx.watched(r.id()));
+  EXPECT_FALSE(ctx.watched(w.id()));
+  EXPECT_EQ(ctx.watches_pending(), 1u);
+}
+
 TEST(ActivationWatch, Validation) {
   SimContext ctx;
   Sig w = ctx.wire("w", "iu.alu", 4);
