@@ -90,8 +90,12 @@ int help() {
       "\n"
       "Prints per-model Pf, outcome breakdown, per-functional-unit P_mf\n"
       "with the alpha_m area weights (Eq. 1) and the replay-economics\n"
-      "counters. Every Pf and P_mf carries its 95% Wilson interval, e.g.\n"
-      "8.3% [3.6%, 18.1%].\n");
+      "counters. Every Pf and P_mf carries its 95%% Wilson interval, e.g.\n"
+      "8.3%% [3.6%%, 18.1%%].\n"
+      "On the replay: line, convergence cutoffs counts bit-flip runs\n"
+      "retired as silent once their state equals a golden ladder rung's;\n"
+      "(M shifted) counts those that reached that state some cycles\n"
+      "earlier or later than the golden run did.\n");
   return 0;
 }
 
@@ -214,7 +218,8 @@ int main(int argc, char** argv) try {
               static_cast<unsigned long long>(r.golden_instret));
   std::printf("replay: ladder %llu rungs (%.1f KiB, %llu evicted), restores "
               "%llu ladder / %llu rolling / %llu cold, fast-forward %llu "
-              "cycles, %llu convergence cutoffs, activation oracle %llu "
+              "cycles, %llu convergence cutoffs (%llu shifted), activation "
+              "oracle %llu "
               "candidates / %llu silent (%llu port-read) / %llu scan "
               "cycles\n",
               static_cast<unsigned long long>(r.replay.ladder_rungs),
@@ -225,6 +230,7 @@ int main(int argc, char** argv) try {
               static_cast<unsigned long long>(r.replay.cold_resets),
               static_cast<unsigned long long>(r.replay.fast_forward_cycles),
               static_cast<unsigned long long>(r.replay.convergence_cutoffs),
+              static_cast<unsigned long long>(r.replay.shifted_cutoffs),
               static_cast<unsigned long long>(r.replay.activation_candidates),
               static_cast<unsigned long long>(r.replay.activation_silent),
               static_cast<unsigned long long>(r.replay.activation_port_read),

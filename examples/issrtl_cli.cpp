@@ -136,6 +136,10 @@ int help() {
       "                      injects a worker fault at site i\n"
       "\n"
       "Pf is printed with its 95%% Wilson interval, e.g. 8.3%% [3.6%%, 18.1%%].\n"
+      "On the replay: line, convergence cutoffs counts bit-flip runs\n"
+      "retired as silent once their state equals a golden ladder rung's;\n"
+      "(M shifted) counts the campaign runs that reached that state some\n"
+      "cycles earlier or later than the golden run did (iss-campaign: 0).\n"
       "The replay: line ends with the activation-oracle counters: sites\n"
       "watched, classified silent (of them, on port-read register-file and\n"
       "cache arrays) and latent without simulation, and the golden cycles\n"
@@ -249,7 +253,8 @@ struct CampaignFlags {
 void print_replay(const fault::ReplayCounters& rc, const char* instants) {
   std::printf("replay: ladder %llu rungs (%.1f KiB, %llu evicted), restores "
               "%llu ladder / %llu rolling / %llu cold, fast-forward %llu "
-              "%s, %llu convergence cutoffs, activation oracle %llu "
+              "%s, %llu convergence cutoffs (%llu shifted), activation "
+              "oracle %llu "
               "candidates / %llu silent (%llu port-read) / %llu latent / "
               "%llu scan %s\n",
               (unsigned long long)rc.ladder_rungs,
@@ -260,6 +265,7 @@ void print_replay(const fault::ReplayCounters& rc, const char* instants) {
               (unsigned long long)rc.cold_resets,
               (unsigned long long)rc.fast_forward_cycles, instants,
               (unsigned long long)rc.convergence_cutoffs,
+              (unsigned long long)rc.shifted_cutoffs,
               (unsigned long long)rc.activation_candidates,
               (unsigned long long)rc.activation_silent,
               (unsigned long long)rc.activation_port_read,

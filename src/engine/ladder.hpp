@@ -18,11 +18,12 @@
 // keeps two prefix lengths and the restore path rebuilds the trace from the
 // backend's golden copy (OffCoreTrace::assign_prefix).
 //
-// Rungs double as a *golden state oracle*: a faulty run that crosses a rung
-// instant with state bit-identical to the rung (and all writes matched so
-// far) is provably silent for the rest of the run — see the backends'
-// convergence cut-off, which is what turns masked transients from
-// full-suffix replays into O(stride) ones.
+// Rungs double as a *golden state oracle*: a faulty run whose state becomes
+// bit-identical to a rung's (all writes matched so far) is provably silent
+// for the rest of the run — see the backends' convergence cut-off, which
+// is what turns masked transients from full-suffix replays into O(stride)
+// ones. The RTL backend matches a rung at any cycle (the run is then the
+// golden remainder, shifted); the ISS backend at the rung's instant.
 //
 // Thread safety: the ladder is built single-threaded during the golden run
 // and is immutable afterwards; workers only read it. Snapshots are
@@ -132,8 +133,9 @@ class CheckpointLadder {
     return it == rungs_.begin() ? nullptr : &*std::prev(it);
   }
 
-  /// Rung exactly at `instant`, or nullptr. Used by the convergence
-  /// cut-off, which may only compare states at identical instants.
+  /// Rung exactly at `instant`, or nullptr. Used by the ISS backend's
+  /// convergence cut-off, whose instants are retired instructions; the RTL
+  /// cut-off walks rungs() by instret instead, to match shifted states.
   const Rung* at(u64 instant) const noexcept {
     const Rung* r = best_at_or_below(instant);
     return r != nullptr && r->instant == instant ? r : nullptr;

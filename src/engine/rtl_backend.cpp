@@ -165,6 +165,16 @@ RtlCampaignBackend::RtlCampaignBackend(const isa::Program& prog,
   }
 }
 
+bool RtlCampaignBackend::GoldenSnapshot::matches(
+    const rtlcore::Leon3Core& c) const {
+  const rtlcore::CoreActivityScalars sc = c.activity_scalars();
+  return sc.instret == core.instret && sc.slot_seq == core.slot_seq &&
+         sc.next_fetch_seq == core.next_fetch_seq &&
+         sc.redirect_after_seq == core.redirect_after_seq &&
+         sc.annul_seq == core.annul_seq && sc.bus_writes == writes &&
+         c.node_values_equal(core.node_values) && c.memory().equals(mem);
+}
+
 std::unique_ptr<RtlCampaignBackend::Worker> RtlCampaignBackend::make_worker(
     unsigned shard) const {
   return std::make_unique<Worker>(*this, shard);
@@ -503,18 +513,38 @@ fault::InjectionResult RtlCampaignBackend::Worker::run_site(
   const std::vector<BusRecord>& golden_writes = b_.golden_trace_.writes();
   // Every prefix write replayed the golden run, so matching resumes here.
   std::size_t matched = core_.offcore().writes().size();
-  // Transient faults leave no armed overlay behind, so a faulty run whose
-  // full state coincides with the golden state at the same cycle is
-  // provably identical from there on: compare against ladder rungs as they
-  // are crossed and classify silent on the spot. Mixed fidelity gates the
-  // oracle off: the transplanted pipeline refills on a shifted schedule,
-  // so the node state can never coincide with a golden rung — the probes
-  // would only burn cycles.
-  const bool converge = !b_.opts_.mixed_fidelity &&
-                        b_.opts_.converge_cutoff && b_.ladder_.enabled() &&
-                        site.model == rtl::FaultModel::kTransientBitFlip;
+  // Convergence cut-off. A transient fault leaves no armed overlay behind,
+  // so once the faulty run's full state (node values, activity scalars,
+  // memory, all writes matched so far) equals a golden rung's state, the
+  // rest of the run is the golden remainder from that rung — shifted by
+  // delta = c - c_r when the faulty run reaches it at cycle c instead of
+  // the rung's cycle c_r (a flip that lengthened or shortened a stall).
+  // The shift is exact because the core reads cycle_ only to timestamp bus
+  // records, and classification compares write payloads only. Rungs are
+  // ascending in instret, so a cursor follows the faulty instret and only
+  // rungs at exactly that instret pay for the compare. Mixed fidelity
+  // stays off: its prefix comes from the ISS, not from the golden RTL run
+  // the rungs hold, and its records are a different experiment.
+  bool converge = !b_.opts_.mixed_fidelity && b_.opts_.converge_cutoff &&
+                  b_.ladder_.enabled() &&
+                  site.model == rtl::FaultModel::kTransientBitFlip;
   const bool track_writes = b_.opts_.early_stop || converge;
-  const u64 rung_stride = b_.ladder_.stride();
+  // Cursor: the first rung whose instret is not below the faulty run's,
+  // and that rung's instret (~0 past the last rung).
+  const auto& rungs = b_.ladder_.rungs();
+  std::size_t next_rung = rungs.size();
+  if (converge) {
+    next_rung = static_cast<std::size_t>(
+        std::lower_bound(rungs.begin(), rungs.end(), core_.instret(),
+                         [](const auto& r, u64 v) {
+                           return r.snap->core.instret < v;
+                         }) -
+        rungs.begin());
+  }
+  const auto instret_of = [&rungs](std::size_t k) {
+    return k < rungs.size() ? rungs[k].snap->core.instret : ~u64{0};
+  };
+  u64 next_instret = instret_of(next_rung);
   bool write_mismatch = false;
   bool definite_divergence = false;
   rtlcore::CoreActivityScalars scalars_prev;
@@ -543,28 +573,30 @@ fault::InjectionResult RtlCampaignBackend::Worker::run_site(
       }
     }
     if (converge && !write_mismatch && halt == iss::HaltReason::kRunning &&
-        core_.cycles() % rung_stride == 0) {
-      if (const auto* rung = b_.ladder_.at(core_.cycles())) {
-        const GoldenSnapshot& g = *rung->snap;
-        const rtlcore::CoreActivityScalars sc = core_.activity_scalars();
-        // Cheap scalar gate first; reads are deliberately not compared —
-        // past bus reads are diagnostics, not state the core evolves from.
-        if (sc.instret == g.core.instret && sc.slot_seq == g.core.slot_seq &&
-            sc.next_fetch_seq == g.core.next_fetch_seq &&
-            sc.redirect_after_seq == g.core.redirect_after_seq &&
-            sc.annul_seq == g.core.annul_seq && sc.bus_writes == g.writes &&
-            core_.node_values_equal(g.core.node_values) &&
-            core_.memory().equals(g.mem)) {
-          // State, memory and write history all coincide with the golden
-          // run at this cycle: the remainder is the golden remainder. The
-          // run retires silently with the golden halt reason.
+        core_.instret() >= next_instret) {
+      const u64 instret = core_.instret();
+      while (next_instret < instret) next_instret = instret_of(++next_rung);
+      for (std::size_t k = next_rung; instret_of(k) == instret; ++k) {
+        if (!rungs[k].snap->matches(core_)) continue;
+        // The golden run halts golden_cycles_ - c_r cycles after the rung.
+        // Shifted, that halt must still fall within the watchdog; if not,
+        // the run is a hang whose record (shifted write timestamps
+        // included) only the simulation gives, and no later rung can match
+        // at another shift, so the probe retires for this site.
+        const u64 c_r = rungs[k].instant;
+        if (core_.cycles() + (b_.golden_cycles_ - c_r) <= b_.watchdog_) {
           b_.convergence_cutoffs_.fetch_add(1, std::memory_order_relaxed);
+          if (core_.cycles() != c_r) {
+            b_.shifted_cutoffs_.fetch_add(1, std::memory_order_relaxed);
+          }
           fault::InjectionResult result;
           result.site = site;
           result.outcome = fault::Outcome::kSilent;
           result.halt = iss::HaltReason::kHalted;
           return result;
         }
+        converge = false;
+        break;
       }
     }
     // A run that outlived the golden cycle count is headed for the
@@ -634,6 +666,7 @@ fault::CampaignResult RtlCampaignBackend::finish(EngineRun<Record> run) const {
   result.replay.cold_resets = cold_resets_.load();
   result.replay.fast_forward_cycles = fast_forward_cycles_.load();
   result.replay.convergence_cutoffs = convergence_cutoffs_.load();
+  result.replay.shifted_cutoffs = shifted_cutoffs_.load();
   result.replay.activation_candidates = activation_candidates_;
   result.replay.activation_silent = activation_silent_.load();
   result.replay.activation_port_read = activation_port_read_.load();

@@ -34,6 +34,13 @@ class RtlCampaignBackend {
     Memory mem;
     std::size_t writes = 0;
     std::size_t reads = 0;
+
+    /// Whether core `c` holds this rung's state, at whatever cycle: a cheap
+    /// scalar gate (instret, slot/fetch/redirect/annul sequence numbers,
+    /// bus-write count), then the node array and memory. Bus reads are
+    /// diagnostics, not state the core evolves from, and are not compared;
+    /// the write payloads are the caller's to match.
+    bool matches(const rtlcore::Leon3Core& c) const;
   };
 
   /// Mixed fidelity: one ISS ladder rung — the fault-free prefix at a
@@ -102,8 +109,9 @@ class RtlCampaignBackend {
     Worker(const RtlCampaignBackend& backend, unsigned shard);
     /// Restore the golden prefix, arm the site's fault, step the faulty
     /// suffix under the per-cycle monitor (early stop on a definite write
-    /// divergence, convergence cut-off at ladder rungs, hang fast-forward)
-    /// and classify the outcome against the golden run. A site the
+    /// divergence, convergence cut-off at a ladder rung's state — reached at
+    /// the rung's cycle or shifted from it — and hang fast-forward) and
+    /// classify the outcome against the golden run. A site the
     /// activation oracle proves never activated returns the golden record
     /// without any of that.
     Record run_site(std::size_t index);
@@ -212,6 +220,7 @@ class RtlCampaignBackend {
   mutable std::atomic<u64> cold_resets_{0};
   mutable std::atomic<u64> fast_forward_cycles_{0};
   mutable std::atomic<u64> convergence_cutoffs_{0};
+  mutable std::atomic<u64> shifted_cutoffs_{0};
   mutable std::atomic<u64> activation_silent_{0};
   mutable std::atomic<u64> activation_port_read_{0};
   // Activation oracle table, built once by the first permanent site.

@@ -159,6 +159,8 @@ struct ReplayCounters {
   u64 cold_resets = 0;         ///< resumes that had to re-simulate from 0
   u64 fast_forward_cycles = 0; ///< fault-free instants stepped after restore
   u64 convergence_cutoffs = 0; ///< transient runs proven silent at a rung
+  u64 shifted_cutoffs = 0;     ///< of those, RTL runs that reached the
+                               ///  rung's state at another cycle
   // Activation oracles: permanent RTL faults (see
   // engine::RtlCampaignBackend::never_activated) and ISS register-file
   // faults (see engine::IssCampaignBackend::liveness). For the ISS,

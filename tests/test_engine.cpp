@@ -711,6 +711,127 @@ TEST(IssOracle, OffWhenWatchdogIsShorterThanGoldenRun) {
   EXPECT_EQ(r.replay.activation_scan_cycles, 0u);
 }
 
+// ---- convergence cut-off ---------------------------------------------------
+
+// Exhaustive iu.ex bit flips on rspeed at two instants per site drawn from
+// the whole golden run: a campaign in which some runs rejoin the golden
+// state a few cycles early or late (a flip on the multicycle countdown
+// changes a stall length), so the cut-off fires at shifted rungs.
+CampaignConfig shifted_cutoff_cfg() {
+  CampaignConfig cfg;
+  cfg.unit_prefix = "iu.ex";
+  cfg.samples = 0;
+  cfg.instants_per_site = 2;
+  cfg.instant_window = fault::InstantWindow::kFull;
+  cfg.inject_time = fault::InjectTime::kUniformRandom;
+  cfg.models = {FaultModel::kTransientBitFlip};
+  return cfg;
+}
+
+// Every record of a campaign whose cut-off fires at shifted rungs equals,
+// site by site, the record of the same campaign simulated to the end with
+// the cut-off off — at 1 and 3 threads, auto and explicit ladder strides.
+TEST(ConvergenceCutoff, ShiftedMatchesFullSimulation) {
+  const auto prog = workloads::build("rspeed", {.iterations = 1,
+                                                .data_seed = 1});
+  const CampaignConfig cfg = shifted_cutoff_cfg();
+  EngineOptions full;
+  full.threads = 3;
+  full.converge_cutoff = false;
+  const CampaignResult reference = run_rtl_campaign(prog, cfg, {}, full);
+  EXPECT_EQ(reference.replay.convergence_cutoffs, 0u);
+  EXPECT_EQ(fault::outcome_hash(reference), 0xa27115eab30b4e3dull);
+  for (const unsigned threads : {1u, 3u}) {
+    for (const u64 stride : {kLadderStrideAuto, u64{977}}) {
+      SCOPED_TRACE(std::to_string(threads) + " threads, stride " +
+                   std::to_string(stride));
+      EngineOptions opts;
+      opts.threads = threads;
+      opts.ladder_stride = stride;
+      const CampaignResult r = run_rtl_campaign(prog, cfg, {}, opts);
+      expect_identical(r, reference);
+      EXPECT_GT(r.replay.shifted_cutoffs, 0u);
+      EXPECT_GT(r.replay.convergence_cutoffs, r.replay.shifted_cutoffs);
+    }
+  }
+}
+
+// With the watchdog two cycles past the golden halt, a run that rejoins the
+// golden state late would halt past the watchdog: its match must be refused
+// and the run simulated into the hang record the watchdog rule gives. With
+// the watchdog below the golden halt, every match is refused. The records,
+// hangs and their latencies included, equal the uncut run's.
+TEST(ConvergenceCutoff, RefusedPastWatchdog) {
+  const auto prog = workloads::build("rspeed", {.iterations = 1,
+                                                .data_seed = 1});
+  CampaignConfig cfg = shifted_cutoff_cfg();
+  cfg.instants_per_site = 1;  // one late rejoin among 325 sites is enough
+  EngineOptions opts;
+  opts.threads = 3;
+  const CampaignResult roomy = run_rtl_campaign(prog, cfg, {}, opts);
+  // watchdog = golden * factor + 1000 (truncated).
+  const double golden = static_cast<double>(roomy.golden_cycles);
+  for (const double watchdog : {golden + 2.0, 0.9 * golden}) {
+    SCOPED_TRACE("watchdog " + std::to_string(watchdog));
+    cfg.watchdog_factor = (watchdog - 1000.0 + 0.5) / golden;
+    EngineOptions full = opts;
+    full.converge_cutoff = false;
+    const CampaignResult reference = run_rtl_campaign(prog, cfg, {}, full);
+    const CampaignResult r = run_rtl_campaign(prog, cfg, {}, opts);
+    expect_identical(r, reference);
+    const fault::CampaignStats s =
+        r.stats_for(FaultModel::kTransientBitFlip);
+    EXPECT_GT(s.hangs, 0u);
+    EXPECT_LT(r.replay.shifted_cutoffs, roomy.replay.shifted_cutoffs);
+  }
+}
+
+// The rung-state predicate behind the cut-off accepts the golden core at the
+// rung's cycle and rejects a state that differs from it in one component
+// only. In a campaign, memory never differs once every write has matched
+// (all stores go through the bus record), so only this test sees the
+// memory half of the predicate.
+TEST(ConvergenceCutoff, RungPredicateComparesEveryComponent) {
+  const auto prog = workloads::build("rspeed", {.iterations = 1,
+                                                .data_seed = 1});
+  CampaignConfig cfg = shifted_cutoff_cfg();
+  cfg.samples = 1;
+  const RtlCampaignBackend backend(prog, cfg, {}, EngineOptions{});
+  const auto& rungs = backend.ladder().rungs();
+  ASSERT_GT(rungs.size(), 2u);
+  const auto& rung = rungs[rungs.size() / 2];
+  const RtlCampaignBackend::GoldenSnapshot& g = *rung.snap;
+
+  Memory mem;
+  prog.load_into(mem);
+  rtlcore::Leon3Core core(mem);
+  core.reset(prog.entry);
+  while (core.cycles() < rung.instant) core.step();
+  EXPECT_TRUE(g.matches(core));
+  const rtlcore::CoreCheckpoint ck = core.checkpoint();
+
+  const u32 word = mem.load_u32(prog.code_base);
+  mem.store_u32(prog.code_base, word ^ 1u);
+  EXPECT_FALSE(g.matches(core)) << "memory word";
+  mem.store_u32(prog.code_base, word);
+  EXPECT_TRUE(g.matches(core));
+
+  const auto expect_rejected = [&](const char* what, auto&& perturb) {
+    rtlcore::CoreCheckpoint bad = ck;
+    perturb(bad);
+    core.restore(bad);
+    EXPECT_FALSE(g.matches(core)) << what;
+  };
+  expect_rejected("slot seq", [](auto& c) { ++c.slot_seq[2]; });
+  expect_rejected("next fetch seq", [](auto& c) { ++c.next_fetch_seq; });
+  expect_rejected("redirect seq", [](auto& c) { ++c.redirect_after_seq; });
+  expect_rejected("annul seq", [](auto& c) { ++c.annul_seq; });
+  expect_rejected("node value", [](auto& c) { c.node_values[0] ^= 1u; });
+  expect_rejected("bus writes", [](auto& c) { c.offcore = OffCoreTrace{}; });
+  core.restore(ck);
+  EXPECT_TRUE(g.matches(core));
+}
+
 // ---- checkpoint correctness -------------------------------------------------
 
 // The full-window instant draw (InstantWindow::kFull) must reach the second

@@ -275,8 +275,9 @@ TEST(Mixed, IssBackendIgnoresMixedFlag) {
 TEST(Mixed, CampaignCompletesWithIssLadder) {
   // Sanity over the mixed replay counters: the ISS golden ladder is the
   // checkpoint store (rungs exist when checkpointing is on), the campaign
-  // classifies every site, and convergence cutoffs stay off (a transplanted
-  // node state can never be declared coincident with a golden rung).
+  // classifies every site, and convergence cutoffs stay off (the prefix is
+  // transplanted from the ISS, not restored from the golden RTL run the
+  // rungs hold).
   const auto prog = mixed_workload();
   const auto cfg = mixed_cfg(12);
   EngineOptions opts;
