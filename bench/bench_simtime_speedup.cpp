@@ -14,12 +14,9 @@
 // disabled (PR 1's single rolling golden checkpoint) vs enabled (rung
 // restores + convergence cut-off), again with bit-identical outcomes —
 // verified here at 1 and 3 threads on top of the timed run. A final
-// section covers the ISS fast path and the mixed-fidelity
-// accelerator: ns/instr of the decoded-basic-block interpreter vs the
-// single-step reference decoder (end states verified identical), and a
-// stuck-at IU campaign run pure-RTL vs mixed-fidelity (ISS golden prefix +
-// architectural-state transplant), with the mixed run's schedule
-// invariance spot-checked across thread counts.
+// section covers the ISS fast path: ns/instr of the decoded-basic-block
+// interpreter vs the single-step reference decoder (end states verified
+// identical).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -115,18 +112,12 @@ struct BenchMetrics {
   double ladder_s = 0.0;
   double ladder_vs_noladder_ratio = 0.0;
   bool ladder_identical = false;  ///< counts + hash, at 1/3/bench threads
-  // ISS section (fast-path interpreter + mixed-fidelity accelerator).
+  // ISS section (fast-path interpreter).
   std::size_t iss_iterations = 0;
   double iss_baseline_ns_per_instr = 0.0;  ///< single-step reference decoder
   double iss_fast_ns_per_instr = 0.0;      ///< dbbcache + lscache fast path
   double iss_fast_vs_baseline_ratio = 0.0;
   bool iss_state_identical = false;  ///< instret + memory, fast vs baseline
-  std::size_t mixed_samples = 0;
-  unsigned mixed_threads = 0;
-  double pure_rtl_s = 0.0;  ///< same campaign, all-RTL prefixes
-  double mixed_s = 0.0;     ///< ISS golden prefix + transplant
-  double mixed_vs_pure_ratio = 0.0;
-  bool mixed_schedule_invariant = false;  ///< mixed hash, threads {1,3}
 };
 
 /// Direct wall-clock comparison: same workload, same number of "injection
@@ -332,33 +323,12 @@ void report_ladder_speedup(BenchMetrics& m) {
               identical ? "yes" : "NO");
 }
 
-/// ISS fast path + mixed-fidelity accelerator. Part one times the decoded-
-/// basic-block interpreter (dbbcache + lscache, the default) against the
-/// single-step reference decoder on a longer rspeed run (ISSRTL_ITERS
-/// iterations, default 8, to amortise program load), alternating min-of-N
-/// like the kernel sections; the end states (instret + full memory image)
-/// must be identical — the fast path is architecturally invisible. Part
-/// two times a stuck-at EX-datapath campaign (ISSRTL_MIXED_SAMPLES
-/// injections, default 24, on rspeed x8, full instant window) pure-RTL vs
-/// mixed-fidelity: the fault-free prefix of every injection runs on the
-/// ISS and the architectural state is transplanted into the RTL core at
-/// the injection instant, so only the faulty suffix pays RTL cost. The
-/// sweep shape is the regime mixed fidelity exists for — prefix-dominated
-/// injections on a long workload: a tight checkpoint-ladder byte budget
-/// (128 KiB, the long-workload stand-in for rung eviction — at the
-/// default 256 MiB every RTL rung stays resident and prefix positioning
-/// is a near-free memcpy for pure mode too), the full instant window (so
-/// late injections with long golden prefixes are sampled, not just the
-/// legacy first half), and EX-stage stuck-at faults whose wrong results
-/// hit the off-core write stream fast (the divergence cut-off ends those
-/// suffixes early in both modes — suffix-dominated populations, e.g.
-/// whole-IU with its latent register-file faults, measure within noise of
-/// pure mode instead, and transient sweeps favour pure mode outright
-/// because the convergence cut-off is disabled under mixed). Stuck-at
-/// faults also keep the comparison honest: the pure side's transient-only
-/// convergence cut-off is idle for both. The mixed run's schedule
-/// invariance (outcome hash at 1 vs 3 threads) is verified untimed on
-/// top.
+/// ISS fast path: times the decoded-basic-block interpreter (dbbcache +
+/// lscache, the default) against the single-step reference decoder on a
+/// longer rspeed run (ISSRTL_ITERS iterations, default 8, to amortise
+/// program load), alternating min-of-N like the kernel sections; the end
+/// states (instret + full memory image) must be identical — the fast path
+/// is architecturally invisible.
 void report_iss_fastpath(BenchMetrics& m) {
   const std::size_t iters = bench::env_size("ISSRTL_ITERS", 8);
   m.iss_iterations = iters;
@@ -418,70 +388,6 @@ void report_iss_fastpath(BenchMetrics& m) {
   std::printf("speedup: %.2fx   end state identical: %s\n",
               m.iss_fast_vs_baseline_ratio,
               m.iss_state_identical ? "yes" : "NO");
-
-  // Part two: mixed-fidelity campaign vs pure RTL, same fault list.
-  const std::size_t samples = bench::env_size("ISSRTL_MIXED_SAMPLES", 24);
-  const unsigned threads =
-      static_cast<unsigned>(bench::env_size("ISSRTL_THREADS", 4));
-  const isa::Program mixed_prog =
-      workloads::build("rspeed", {.iterations = 8, .data_seed = 1});
-
-  fault::CampaignConfig cfg;
-  cfg.unit_prefix = "iu.ex";
-  cfg.models = {rtl::FaultModel::kStuckAt1};
-  cfg.samples = samples;
-  cfg.seed = bench::seed();
-  cfg.inject_time = fault::InjectTime::kUniformRandom;
-  cfg.instant_window = fault::InstantWindow::kFull;
-
-  const std::size_t ladder_cap = std::size_t{128} << 10;
-
-  engine::EngineOptions pure = engine::options_from_env();
-  pure.threads = threads;
-  pure.mixed_fidelity = false;
-  pure.ladder_max_bytes = ladder_cap;
-
-  engine::EngineOptions mixed = pure;
-  mixed.mixed_fidelity = true;
-
-  const int reps =
-      static_cast<int>(bench::env_size("ISSRTL_BENCH_REPS", 3));
-  fault::CampaignResult pure_run, mixed_run;
-  const auto [pure_best, mixed_best] = bench::min_alternating(
-      reps,
-      [&] { pure_run = engine::run_rtl_campaign(mixed_prog, cfg, {}, pure); },
-      [&] { mixed_run = engine::run_rtl_campaign(mixed_prog, cfg, {}, mixed); });
-
-  // Schedule invariance of the mixed run itself (untimed): the mixed hash
-  // must not depend on the thread count. (Mixed vs pure outcomes are a
-  // *different experiment* for pipeline-resident faults by design — their
-  // equivalence on architectural faults is pinned in tests/test_mixed.cpp,
-  // not here.)
-  bool invariant = true;
-  for (const unsigned t : {1u, 3u}) {
-    engine::EngineOptions o = mixed;
-    o.threads = t;
-    invariant = invariant &&
-                same_outcomes(mixed_run,
-                              engine::run_rtl_campaign(mixed_prog, cfg, {}, o));
-  }
-
-  m.mixed_samples = samples;
-  m.mixed_threads = threads;
-  m.pure_rtl_s = pure_best;
-  m.mixed_s = mixed_best;
-  m.mixed_vs_pure_ratio = mixed_best > 0 ? pure_best / mixed_best : 0.0;
-  m.mixed_schedule_invariant = invariant;
-
-  std::printf("\n--- mixed-fidelity (ISS prefix + transplant) vs pure RTL "
-              "(rspeed x8, %zu stuck-at injections @ iu.ex, full window, "
-              "%zu KiB rung budget) ---\n",
-              samples, ladder_cap >> 10);
-  std::printf("pure RTL (%u thr):   %.3f s\n", threads, pure_best);
-  std::printf("mixed    (%u thr):   %.3f s\n", threads, mixed_best);
-  std::printf("end-to-end speedup: %.2fx   mixed hash thread-invariant "
-              "(1/3/%u thr): %s\n",
-              m.mixed_vs_pure_ratio, threads, invariant ? "yes" : "NO");
 }
 
 /// The PR 7 tree's headline iss_ns_per_instr (rspeed, top-level section)
@@ -601,23 +507,10 @@ void write_bench_json(const BenchMetrics& m) {
                "    \"iss_baseline_ns_per_instr\": %.2f,\n"
                "    \"iss_fast_ns_per_instr\": %.2f,\n"
                "    \"fast_vs_baseline_ratio\": %.2f,\n"
-               "    \"iss_state_identical\": %s,\n"
-               "    \"mixed_samples\": %zu,\n"
-               "    \"mixed_threads\": %u,\n"
-               "    \"mixed_unit\": \"iu.ex\",\n"
-               "    \"mixed_iterations\": 8,\n"
-               "    \"mixed_instant_window\": \"full\",\n"
-               "    \"mixed_ladder_cap_bytes\": 131072,\n"
-               "    \"pure_rtl_s\": %.3f,\n"
-               "    \"mixed_s\": %.3f,\n"
-               "    \"mixed_vs_pure_ratio\": %.2f,\n"
-               "    \"mixed_schedule_invariant_threads_1_3\": %s",
+               "    \"iss_state_identical\": %s",
                m.iss_iterations, m.iss_baseline_ns_per_instr,
                m.iss_fast_ns_per_instr, m.iss_fast_vs_baseline_ratio,
-               m.iss_state_identical ? "true" : "false", m.mixed_samples,
-               m.mixed_threads, m.pure_rtl_s, m.mixed_s,
-               m.mixed_vs_pure_ratio,
-               m.mixed_schedule_invariant ? "true" : "false");
+               m.iss_state_identical ? "true" : "false");
   if (on_reference_box && m.iss_fast_ns_per_instr > 0) {
     // Tree-over-tree: the committed PR 7 top-level iss_ns_per_instr (the
     // decode-per-instruction interpreter, before the dbbcache/lscache fast

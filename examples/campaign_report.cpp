@@ -38,7 +38,7 @@ int help() {
       "\n"
       "usage: campaign_report [workload] [samples] [threads] [instants]\n"
       "                       [window] [--vcd <path>] [--journal=DIR]\n"
-      "                       [--resume] [--deadline-ms=N] [--mixed]\n"
+      "                       [--resume] [--deadline-ms=N]\n"
       "  workload   registry name (issrtl_cli list); default rspeed\n"
       "  samples    injection trials per fault model; default 120\n"
       "  threads    engine worker threads; 0 or absent = all hardware\n"
@@ -63,9 +63,6 @@ int help() {
       "             the sites in flight finish, the journal is flushed,\n"
       "             and the partial report is printed with a TRUNCATED\n"
       "             banner\n"
-      "  --mixed    mixed-fidelity accelerator (same as ISSRTL_MIXED=1):\n"
-      "             the fault-free prefix runs on the ISS and only the\n"
-      "             faulty suffix is simulated at RTL fidelity\n"
       "\n"
       "environment:\n"
       "  ISSRTL_THREADS      worker threads when [threads] is absent\n"
@@ -76,9 +73,6 @@ int help() {
       "  ISSRTL_CKPT_MB      ladder byte cap in MiB (default 256)\n"
       "  ISSRTL_JOURNAL      journal directory (same as --journal)\n"
       "  ISSRTL_RESUME       1 = import journaled sites (same as --resume)\n"
-      "  ISSRTL_MIXED        1 = mixed-fidelity accelerator (same as --mixed);\n"
-      "                      schedule-invariant, but a different experiment\n"
-      "                      than pure RTL for pipeline-resident faults\n"
       "  ISSRTL_ISS_FAST     1 (default) = ISS decoded-basic-block fast path,\n"
       "                      0 = single-step decoder; bit-identical results\n"
       "  ISSRTL_DEADLINE_MS  wall-clock budget in milliseconds\n"
@@ -106,7 +100,6 @@ int main(int argc, char** argv) try {
   std::string vcd_path;
   std::string journal_dir;
   bool resume = false;
-  bool mixed = false;
   bool have_deadline = false;
   u64 deadline_ms = 0;
   std::vector<const char*> pos;
@@ -123,10 +116,6 @@ int main(int argc, char** argv) try {
     }
     if (a == "--resume") {
       resume = true;
-      continue;
-    }
-    if (a == "--mixed") {
-      mixed = true;
       continue;
     }
     if (a.rfind("--journal=", 0) == 0) {
@@ -196,7 +185,6 @@ int main(int argc, char** argv) try {
   if (threads != 0) opts.threads = threads;
   if (!journal_dir.empty()) opts.journal_dir = journal_dir;
   if (resume) opts.resume = true;
-  if (mixed) opts.mixed_fidelity = true;
   if (have_deadline) opts.deadline_ms = deadline_ms;
   if (opts.resume && opts.journal_dir.empty()) {
     std::fprintf(stderr,

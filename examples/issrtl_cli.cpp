@@ -56,7 +56,7 @@ int usage() {
       "  list | run <wl> [iters] | rtl <wl> [iters] | diversity <wl>\n"
       "  disasm <wl> | campaign <wl> <iu|cmem|''> <sa0|sa1|open|flip> <n> "
       "[threads] [instants] [window]\n"
-      "      [--journal=DIR] [--resume] [--deadline-ms=N] [--mixed]\n"
+      "      [--journal=DIR] [--resume] [--deadline-ms=N]\n"
       "  iss-campaign <wl> <sa0|sa1|open|flip> <n> [threads]\n"
       "  avf <wl> | asm <file.s> | nodes [unit] | help\n"
       "run 'issrtl_cli help' for the full flag and environment reference\n");
@@ -75,7 +75,7 @@ int help() {
       "  diversity <wl>            Table-1-style characterisation\n"
       "  disasm <wl>               disassemble a workload image\n"
       "  campaign <wl> <unit> <model> <n> [threads] [instants] [window]\n"
-      "           [--journal=DIR] [--resume] [--deadline-ms=N] [--mixed]\n"
+      "           [--journal=DIR] [--resume] [--deadline-ms=N]\n"
       "                            RTL fault-injection campaign on the\n"
       "                            parallel engine\n"
       "      <unit>      node-unit prefix: iu, cmem, a subunit like iu.fe,\n"
@@ -118,13 +118,6 @@ int help() {
       "  ISSRTL_RESUME       1 imports journaled sites instead of\n"
       "                      re-simulating them (same as --resume); 0 (the\n"
       "                      default) truncates the journal and starts fresh\n"
-      "  ISSRTL_MIXED        1 runs the mixed-fidelity accelerator (same as\n"
-      "                      --mixed): the fault-free prefix executes on the\n"
-      "                      ISS and only the faulty suffix is simulated at\n"
-      "                      RTL fidelity. Results are schedule-invariant but\n"
-      "                      differ from pure-RTL for pipeline-resident\n"
-      "                      faults (the transplanted pipeline starts empty),\n"
-      "                      so the mode is part of the campaign identity\n"
       "  ISSRTL_ISS_FAST     1 (default) uses the ISS decoded-basic-block\n"
       "                      fast path, 0 forces the single-step decoder;\n"
       "                      results are bit-identical either way\n"
@@ -240,11 +233,10 @@ int cmd_disasm(const std::string& name) {
 struct CampaignFlags {
   std::string journal;
   bool resume = false;
-  bool mixed = false;
   bool have_deadline = false;
   u64 deadline_ms = 0;
   bool any() const {
-    return !journal.empty() || resume || mixed || have_deadline;
+    return !journal.empty() || resume || have_deadline;
   }
 };
 
@@ -316,7 +308,6 @@ int cmd_campaign(const std::string& name, const std::string& unit,
   if (threads != 0) opts.threads = threads;
   if (!flags.journal.empty()) opts.journal_dir = flags.journal;
   if (flags.resume) opts.resume = true;
-  if (flags.mixed) opts.mixed_fidelity = true;
   if (flags.have_deadline) opts.deadline_ms = flags.deadline_ms;
   if (opts.resume && opts.journal_dir.empty()) {
     std::fprintf(stderr,
@@ -437,8 +428,6 @@ int main(int argc, char** argv) {
       pos.push_back(a);
     } else if (a == "--resume") {
       flags.resume = true;
-    } else if (a == "--mixed") {
-      flags.mixed = true;
     } else if (a.rfind("--journal=", 0) == 0) {
       flags.journal = a.substr(std::strlen("--journal="));
       if (flags.journal.empty()) {
@@ -463,7 +452,7 @@ int main(int argc, char** argv) {
   }
   if (flags.any() && cmd != "campaign") {
     std::fprintf(stderr,
-                 "error: --journal/--resume/--deadline-ms/--mixed only apply "
+                 "error: --journal/--resume/--deadline-ms only apply "
                  "to the campaign command\n");
     return kExitUsage;
   }

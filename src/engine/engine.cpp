@@ -130,18 +130,10 @@ unsigned resolve_threads(unsigned requested, std::size_t sites) {
   return threads;
 }
 
-Xoshiro256 shard_stream(u64 seed, unsigned shard) {
-  // Two splitmix64 draws decorrelate (seed, shard) pairs before the state
-  // expansion inside Xoshiro256's constructor.
-  u64 sm = seed ^ (0x9E37'79B9'7F4A'7C15ull * (static_cast<u64>(shard) + 1));
-  const u64 a = splitmix64(sm);
-  const u64 b = splitmix64(sm);
-  return Xoshiro256(a ^ (b << 1));
-}
-
 EngineOptions options_from_env(EngineOptions base) {
-  // Knobs of the deleted lane-pool and staged-pipeline schedulers. A set
-  // one fails loudly instead of silently running the serial path.
+  // Knobs of the deleted lane-pool and staged-pipeline schedulers and of
+  // the deleted mixed-fidelity mode. A set one fails loudly instead of
+  // silently running something else.
   for (const char* removed :
        {"ISSRTL_BATCH", "ISSRTL_SIMD", "ISSRTL_SIMD_TILE",
         "ISSRTL_SIMD_MIN_LIVE", "ISSRTL_REFILL", "ISSRTL_VECEVAL",
@@ -152,6 +144,10 @@ EngineOptions options_from_env(EngineOptions base) {
           ": removed; campaigns always run the serial per-site engine");
     });
   }
+  with_env("ISSRTL_MIXED", [](const char*) {
+    throw std::invalid_argument(
+        "ISSRTL_MIXED: removed; campaigns always run pure RTL");
+  });
   with_env("ISSRTL_THREADS", [&](const char* v) {
     base.threads =
         static_cast<unsigned>(parse_env_u64("ISSRTL_THREADS", v, UINT_MAX));
@@ -168,9 +164,6 @@ EngineOptions options_from_env(EngineOptions base) {
   with_env("ISSRTL_JOURNAL", [&](const char* v) { base.journal_dir = v; });
   with_env("ISSRTL_RESUME", [&](const char* v) {
     base.resume = env_flag("ISSRTL_RESUME", v);
-  });
-  with_env("ISSRTL_MIXED", [&](const char* v) {
-    base.mixed_fidelity = env_flag("ISSRTL_MIXED", v);
   });
   with_env("ISSRTL_ISS_FAST", [&](const char* v) {
     base.iss_fast_path = env_flag("ISSRTL_ISS_FAST", v);

@@ -56,7 +56,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "common/types.hpp"
 #include "engine/journal.hpp"
 #include "engine/ladder.hpp"
@@ -145,22 +144,6 @@ struct EngineOptions {
   /// mid-site would make the completed set timing-dependent); only
   /// not-yet-started sites are skipped.
   const std::atomic<bool>* stop = nullptr;
-  /// Mixed-fidelity golden-prefix acceleration for the RTL backend: run the
-  /// fault-free prefix of every injection on the ISS (decoded-block fast
-  /// path), transplant the architectural state into the RTL core at the
-  /// last retirement boundary at or before the injection instant
-  /// (Leon3Core::transplant, golden timebase and bus prefix preserved), and
-  /// simulate only the faulty suffix at RTL fidelity. The resulting
-  /// campaign is schedule-invariant — fault::outcome_hash is bit-identical
-  /// across threads and ladder settings — but it is a
-  /// different experiment from a pure-RTL campaign for faults whose effect
-  /// depends on the in-flight pipeline contents at the injection instant
-  /// (the transplanted pipeline starts empty; see docs/ARCHITECTURE.md
-  /// "Mixed-fidelity prefix"), so the RTL backend folds this flag into
-  /// campaign_key(), unlike the schedule knobs above. The ISS backend
-  /// ignores it.
-  /// ISSRTL_MIXED (strict 0/1) is the environment path.
-  bool mixed_fidelity = false;
   /// Drive every engine-owned iss::Emulator through its decoded-block fast
   /// path (dbbcache + lscache, see iss/emulator.hpp). false selects the
   /// reference decode-per-instruction path. The caches are
@@ -185,8 +168,7 @@ struct EngineOptions {
 /// instants; 0 disables the ladder), ISSRTL_CKPT_MB (ladder byte cap in
 /// MiB), ISSRTL_JOURNAL (write-ahead journal directory; any non-empty
 /// path), ISSRTL_RESUME (1 = import the journal's records, 0 = truncate
-/// it), ISSRTL_MIXED (1 = mixed-fidelity ISS-prefix/RTL-suffix campaigns,
-/// 0 = pure RTL), ISSRTL_ISS_FAST (1 = decoded-block ISS fast path, 0 = the
+/// it), ISSRTL_ISS_FAST (1 = decoded-block ISS fast path, 0 = the
 /// reference decode-per-instruction path), ISSRTL_DEADLINE_MS (wall-clock
 /// budget in milliseconds; 0 = none) and ISSRTL_FAIL_SITE (test-only throw
 /// hook, comma-separated "<site>" / "<site>:once"). The 0/1 flags reject
@@ -199,8 +181,9 @@ struct EngineOptions {
 /// silently running a campaign with a mangled configuration. So does any
 /// knob of the deleted batched and staged schedulers (ISSRTL_BATCH,
 /// ISSRTL_SIMD, ISSRTL_SIMD_TILE, ISSRTL_SIMD_MIN_LIVE, ISSRTL_REFILL,
-/// ISSRTL_VECEVAL, ISSRTL_PIPELINE, ISSRTL_PREFETCH_DEPTH) that is still
-/// set: a script relying on one must learn it is gone.
+/// ISSRTL_VECEVAL, ISSRTL_PIPELINE, ISSRTL_PREFETCH_DEPTH) or of the
+/// deleted mixed-fidelity mode (ISSRTL_MIXED) that is still set: a script
+/// relying on one must learn it is gone.
 EngineOptions options_from_env(EngineOptions base = {});
 
 /// Threads actually used for `sites` fault sites under `requested`.
@@ -271,12 +254,6 @@ struct EngineRun {
   u64 sites_retried = 0;
   u64 engine_errors = 0;
 };
-
-/// Deterministic per-shard RNG stream: decorrelated from the campaign seed
-/// and from every other shard. Any stochastic per-run behaviour a backend
-/// adds must draw from its shard's stream to stay reproducible under
-/// resharding (today's backends are fully pre-enumerated and draw nothing).
-Xoshiro256 shard_stream(u64 seed, unsigned shard);
 
 /// Ready-made on_progress callback: rewrites a `done/total injections`
 /// line on stderr, newline once complete. Shared by the CLI front ends.

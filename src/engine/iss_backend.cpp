@@ -6,6 +6,7 @@
 #include <string>
 #include <utility>
 
+#include "common/rng.hpp"
 #include "engine/stats.hpp"
 
 namespace issrtl::engine {

@@ -93,8 +93,6 @@ class IssCampaignBackend {
     /// ahead of us and closer — or from reset when neither exists.
     void prepare(u64 inject_at_instr);
 
-    // Stochastic per-run behaviour (none today) must draw from
-    // engine::shard_stream(cfg.seed, shard) to stay reshard-stable.
     const IssCampaignBackend& b_;
     Memory mem_;
     iss::Emulator emu_;

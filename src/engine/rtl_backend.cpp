@@ -46,12 +46,7 @@ RtlCampaignBackend::RtlCampaignBackend(const isa::Program& prog,
       core_cfg_(core_cfg),
       opts_(opts),
       ladder_(opts.checkpoint ? initial_ladder_stride(opts.ladder_stride) : 0,
-              opts.ladder_max_bytes, ladder_rung_limit(opts.ladder_stride)),
-      iss_ladder_(opts.mixed_fidelity && opts.checkpoint
-                      ? initial_ladder_stride(opts.ladder_stride)
-                      : 0,
-                  opts.ladder_max_bytes,
-                  ladder_rung_limit(opts.ladder_stride)) {
+              opts.ladder_max_bytes, ladder_rung_limit(opts.ladder_stride)) {
   // Load the program image once; the golden memory and every worker reset
   // clone from it, so pages neither run touches stay COW-shared and the
   // latent check's Memory::equals can short-circuit them by pointer.
@@ -75,13 +70,6 @@ RtlCampaignBackend::RtlCampaignBackend(const isa::Program& prog,
       ladder_.record(golden.cycles(), std::move(snap), bytes);
     }
     golden.step();
-    if (opts_.mixed_fidelity) {
-      // Retirement boundaries for the transplant (single-issue, so at most
-      // one per cycle; the loop form also absorbs the final halting step).
-      for (u64 r = retire_cycle_.size(); r < golden.instret(); ++r) {
-        retire_cycle_.push_back(golden.cycles());
-      }
-    }
   }
   const iss::HaltReason golden_halt =
       golden.halt_reason() == iss::HaltReason::kRunning
@@ -98,58 +86,6 @@ RtlCampaignBackend::RtlCampaignBackend(const isa::Program& prog,
   watchdog_ = static_cast<u64>(static_cast<double>(golden_cycles_) *
                                    cfg_.watchdog_factor +
                                1000);
-  if (opts_.mixed_fidelity) {
-    // ISS golden pass: the same program on the functional emulator, rungs
-    // on the retired-instruction grid so workers can position the prefix
-    // at ISS speed. Runs lockstep-validated against the RTL golden run —
-    // any architectural, trace or memory disagreement means the transplant
-    // contract does not hold for this workload, which must fail loudly, not
-    // as misclassified injections.
-    iss_golden_mem_ = initial_mem_.clone();
-    iss::Emulator iss_golden(iss_golden_mem_);
-    iss_golden.set_fast_path(opts_.iss_fast_path);
-    iss_golden.reset(prog_.entry);
-    while (iss_golden.instret() < golden_instret_ &&
-           iss_golden.halt_reason() == iss::HaltReason::kRunning) {
-      if (iss_ladder_.wants(iss_golden.instret())) {
-        auto snap = std::make_shared<IssGoldenSnapshot>();
-        snap->emu = iss_golden.checkpoint_lite();
-        snap->mem = iss_golden_mem_.clone();
-        snap->writes = iss_golden.offcore().writes().size();
-        const std::size_t bytes =
-            sizeof(*snap) + snap->mem.allocated_pages() * 64;
-        iss_ladder_.record(iss_golden.instret(), std::move(snap), bytes);
-      }
-      // Fast block-walk between rung grid points (stride may grow as the
-      // auto ladder thins itself, so it is re-read every lap).
-      u64 target = golden_instret_;
-      if (iss_ladder_.enabled()) {
-        const u64 stride = iss_ladder_.stride();
-        target = std::min(target,
-                          (iss_golden.instret() / stride + 1) * stride);
-      }
-      iss_golden.advance(target - iss_golden.instret());
-    }
-    const iss::ArchState& fs = iss_golden.state();
-    const std::vector<BusRecord>& iw = iss_golden.offcore().writes();
-    const std::vector<BusRecord>& gw = golden_trace_.writes();
-    bool writes_match = iw.size() == gw.size();
-    for (std::size_t i = 0; writes_match && i < iw.size(); ++i) {
-      writes_match = iw[i].same_payload(gw[i]);
-    }
-    if (iss_golden.halt_reason() != iss::HaltReason::kHalted ||
-        iss_golden.instret() != golden_instret_ ||
-        retire_cycle_.size() != golden_instret_ || !writes_match ||
-        fs.regs != golden_state_.regs || fs.cwp != golden_state_.cwp ||
-        !(fs.icc == golden_state_.icc) || fs.y != golden_state_.y ||
-        fs.window_depth != golden_state_.window_depth ||
-        !iss_golden_mem_.equals(golden_mem_)) {
-      throw std::runtime_error(
-          "mixed-fidelity lockstep violation: ISS and RTL golden runs "
-          "disagree for workload " +
-          prog_.name);
-    }
-  }
   sites_ = fault::build_fault_list(golden.sim(), cfg_, golden_cycles_);
   fail_spec_ = parse_fail_sites(opts_.fail_sites);
   // Snapshot the node metadata so finish() can label records without the
@@ -205,11 +141,9 @@ u64 RtlCampaignBackend::campaign_key() const {
   fp.mix(cfg_.fixed_cycle);
   fp.mix_bytes(&cfg_.watchdog_factor, sizeof(cfg_.watchdog_factor));
   fp.mix(static_cast<u64>(cfg_.compare_memory));
-  // Mixed fidelity changes what a record means for faults that interact
-  // with the in-flight pipeline at the injection instant (the transplanted
-  // suffix starts from an empty pipeline), so it is part of the campaign
-  // identity — unlike the schedule-only engine options, which stay out.
-  fp.mix(static_cast<u64>(opts_.mixed_fidelity));
+  // Retired mixed-fidelity flag, always false: mixing the constant keeps
+  // the key every existing journal was written under.
+  fp.mix(u64{0});
   // Golden-run summary: a cheap proxy for the core config and simulator
   // semantics — any change to either moves these and retires the journal.
   fp.mix(golden_cycles_);
@@ -266,10 +200,9 @@ RtlCampaignBackend::Record RtlCampaignBackend::error_record(
 
 bool RtlCampaignBackend::oracle_applies(
     const fault::FaultSite& s) const noexcept {
-  // Mixed fidelity transplants the prefix, so the faulty run does not start
-  // from the golden state; a watchdog below the golden length would end
-  // even the golden run as a hang.
-  if (opts_.mixed_fidelity || watchdog_ < golden_cycles_) return false;
+  // A watchdog below the golden length would end even the golden run as a
+  // hang.
+  if (watchdog_ < golden_cycles_) return false;
   return s.model == rtl::FaultModel::kStuckAt0 ||
          s.model == rtl::FaultModel::kStuckAt1 ||
          s.model == rtl::FaultModel::kOpenLine;
@@ -405,80 +338,6 @@ void RtlCampaignBackend::Worker::prepare(u64 inject_cycle) {
   }
 }
 
-void RtlCampaignBackend::Worker::position_iss(u64 instret_target) {
-  if (iss_emu_ == nullptr) {
-    iss_emu_ = std::make_unique<iss::Emulator>(iss_mem_);
-    iss_emu_->set_fast_path(b_.opts_.iss_fast_path);
-  }
-  iss::Emulator& emu = *iss_emu_;
-  const auto* rung = b_.iss_ladder_.best_at_or_below(instret_target);
-  const bool rolling = iss_valid_ && emu.instret() <= instret_target;
-  if (rolling && (rung == nullptr || rung->instant <= emu.instret())) {
-    // The emulator itself is the rolling checkpoint: just keep advancing.
-    b_.rolling_restores_.fetch_add(1, std::memory_order_relaxed);
-  } else if (rung != nullptr) {
-    iss_mem_ = rung->snap->mem.clone();
-    // checkpoint_lite rungs carry an empty trace; the inherited prefix
-    // exists only as the write-count base (the transplant rebuilds the
-    // actual records from the golden trace).
-    emu.restore(rung->snap->emu);
-    iss_writes_base_ = rung->snap->writes;
-    b_.ladder_restores_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    iss_mem_ = b_.initial_mem_.clone();
-    emu.reset(b_.prog_.entry);
-    iss_writes_base_ = 0;
-    b_.cold_resets_.fetch_add(1, std::memory_order_relaxed);
-  }
-  iss_valid_ = true;
-  if (emu.instret() < instret_target &&
-      emu.halt_reason() == iss::HaltReason::kRunning) {
-    const u64 before = emu.instret();
-    emu.advance(instret_target - before);
-    b_.fast_forward_cycles_.fetch_add(emu.instret() - before,
-                                      std::memory_order_relaxed);
-  }
-}
-
-u64 RtlCampaignBackend::Worker::prepare_mixed(u64 inject_cycle) {
-  core_.sim().clear_faults();
-  // Retirement boundary: instructions retired at or before the instant.
-  const std::vector<u64>& rc = b_.retire_cycle_;
-  u64 n = static_cast<u64>(
-      std::upper_bound(rc.begin(), rc.end(), inject_cycle) - rc.begin());
-  position_iss(n);
-  iss::Emulator& emu = *iss_emu_;
-  // Drained-boundary rule: a boundary inside a delay slot has an in-flight
-  // control transfer (npc != pc + 4) that an empty pipeline cannot
-  // represent; hand over one instruction later (the golden timebase below
-  // moves with n).
-  while (emu.halt_reason() == iss::HaltReason::kRunning &&
-         emu.state().npc != emu.state().pc + 4) {
-    emu.step();
-    ++n;
-  }
-  const u64 boundary_cycle = n == 0 ? 0 : rc[n - 1];
-  const std::size_t prefix_writes =
-      iss_writes_base_ + emu.offcore().writes().size();
-  mem_ = iss_mem_.clone();
-  core_.transplant(emu.state(), boundary_cycle, n, emu.halt_reason(),
-                   emu.trap_code(), b_.golden_trace_, prefix_writes, 0);
-  // Refill the pipeline at RTL fidelity up to the nominal instant. (The
-  // forward adjustment above can leave the boundary past inject_cycle; the
-  // fault then arms at the boundary, which is the reference cycle
-  // returned for the latency arithmetic.)
-  u64 stepped = 0;
-  while (core_.cycles() < inject_cycle &&
-         core_.halt_reason() == iss::HaltReason::kRunning) {
-    core_.step();
-    ++stepped;
-  }
-  if (stepped != 0) {
-    b_.fast_forward_cycles_.fetch_add(stepped, std::memory_order_relaxed);
-  }
-  return core_.cycles();
-}
-
 fault::InjectionResult RtlCampaignBackend::Worker::run_site(
     std::size_t index) {
   const fault::FaultSite site = b_.sites_[index];
@@ -495,12 +354,7 @@ fault::InjectionResult RtlCampaignBackend::Worker::run_site(
     result.halt = iss::HaltReason::kHalted;
     return result;
   }
-  u64 inject_ref = site.inject_cycle;
-  if (b_.opts_.mixed_fidelity) {
-    inject_ref = prepare_mixed(site.inject_cycle);
-  } else {
-    prepare(site.inject_cycle);
-  }
+  prepare(site.inject_cycle);
   core_.sim().arm_fault(site.node, site.model, site.bit);
   maybe_fail_site(b_.fail_spec_, fail_attempts_, index);
 
@@ -522,11 +376,8 @@ fault::InjectionResult RtlCampaignBackend::Worker::run_site(
   // The shift is exact because the core reads cycle_ only to timestamp bus
   // records, and classification compares write payloads only. Rungs are
   // ascending in instret, so a cursor follows the faulty instret and only
-  // rungs at exactly that instret pay for the compare. Mixed fidelity
-  // stays off: its prefix comes from the ISS, not from the golden RTL run
-  // the rungs hold, and its records are a different experiment.
-  bool converge = !b_.opts_.mixed_fidelity && b_.opts_.converge_cutoff &&
-                  b_.ladder_.enabled() &&
+  // rungs at exactly that instret pay for the compare.
+  bool converge = b_.opts_.converge_cutoff && b_.ladder_.enabled() &&
                   site.model == rtl::FaultModel::kTransientBitFlip;
   const bool track_writes = b_.opts_.early_stop || converge;
   // Cursor: the first rung whose instret is not below the faulty run's,
@@ -639,10 +490,10 @@ fault::InjectionResult RtlCampaignBackend::Worker::run_site(
                          ? fault::Outcome::kHang
                          : fault::Outcome::kFailure;
     result.latency_cycles =
-        div.cycle > inject_ref ? div.cycle - inject_ref : 0;
+        div.cycle > site.inject_cycle ? div.cycle - site.inject_cycle : 0;
   } else if (halt == iss::HaltReason::kStepLimit) {
     result.outcome = fault::Outcome::kHang;
-    result.latency_cycles = b_.watchdog_ - inject_ref;
+    result.latency_cycles = b_.watchdog_ - site.inject_cycle;
   } else if (states_match(core_, b_.golden_state_, b_.golden_mem_,
                           b_.cfg_.compare_memory)) {
     result.outcome = fault::Outcome::kSilent;

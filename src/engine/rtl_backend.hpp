@@ -17,7 +17,7 @@
 #include "engine/journal.hpp"
 #include "engine/ladder.hpp"
 #include "fault/campaign.hpp"
-#include "iss/emulator.hpp"
+#include "iss/state.hpp"
 
 namespace issrtl::engine {
 
@@ -41,17 +41,6 @@ class RtlCampaignBackend {
     /// diagnostics, not state the core evolves from, and are not compared;
     /// the write payloads are the caller's to match.
     bool matches(const rtlcore::Leon3Core& c) const;
-  };
-
-  /// Mixed fidelity: one ISS ladder rung — the fault-free prefix at a
-  /// retired-instruction boundary. `emu` is a checkpoint_lite() (no trace
-  /// copy); `writes` the off-core write count at the boundary, which the
-  /// lockstep validation in the constructor proves equal to the RTL golden
-  /// write count at the same retirement.
-  struct IssGoldenSnapshot {
-    iss::EmuCheckpoint emu;
-    Memory mem;
-    std::size_t writes = 0;
   };
 
   /// Runs the golden reference (recording ladder rungs every
@@ -97,8 +86,8 @@ class RtlCampaignBackend {
   /// it (rtl::SimContext::mark_port_read). Its faulty
   /// run is the golden run, so its record is {kSilent, kHalted, latency 0}
   /// without simulating it. Builds the backend's table on first use (one
-  /// golden-suffix replay, thread-safe); always false under mixed
-  /// fidelity and for transient and bridge faults.
+  /// golden-suffix replay, thread-safe); always false for transient and
+  /// bridge faults.
   bool never_activated(std::size_t i) const;
 
   /// One per worker thread: owns a core + memory and a rolling golden-prefix
@@ -122,24 +111,6 @@ class RtlCampaignBackend {
     /// ahead of us and closer — or from reset when neither exists.
     void prepare(u64 inject_cycle);
 
-    /// Mixed-fidelity counterpart of prepare(): walk the fault-free prefix
-    /// on the ISS up to the last retirement boundary at or before
-    /// `inject_cycle` (forward-adjusted out of delay slots), transplant the
-    /// architectural state into core_ on the golden timebase with the
-    /// golden bus prefix, then step the core at RTL fidelity up to the
-    /// nominal instant (refilling the pipeline). Returns the cycle at
-    /// which the fault should be considered injected — `inject_cycle`,
-    /// unless the forward adjustment pushed the boundary past it.
-    u64 prepare_mixed(u64 inject_cycle);
-
-    /// Position the worker's ISS emulator (fault-free) at retired
-    /// instruction `instret_target`: keep advancing monotonically, restore
-    /// the best ISS ladder rung, or reset cold — the ISS analogue of
-    /// prepare()'s three-way choice.
-    void position_iss(u64 instret_target);
-
-    // Stochastic per-run behaviour (none today) must draw from
-    // engine::shard_stream(cfg.seed, shard) to stay reshard-stable.
     const RtlCampaignBackend& b_;
     Memory mem_;
     rtlcore::Leon3Core core_;
@@ -154,15 +125,6 @@ class RtlCampaignBackend {
     std::size_t checkpoint_reads_ = 0;
     // Scratch buffer for the hang fast-forward fixed-point probe.
     std::vector<u32> probe_nodes_;
-    // Mixed-fidelity positioning (lazy: allocated on the first
-    // prepare_mixed call). The ISS walks the fault-free prefix;
-    // iss_writes_base_ + the emulator's own trace length is the golden
-    // write count at its boundary (rung restores load a trace-less
-    // checkpoint_lite, so the base tracks the inherited prefix).
-    Memory iss_mem_;
-    std::unique_ptr<iss::Emulator> iss_emu_;
-    bool iss_valid_ = false;
-    std::size_t iss_writes_base_ = 0;
     std::map<std::size_t, unsigned> fail_attempts_;  ///< ISSRTL_FAIL_SITE
   };
 
@@ -198,14 +160,6 @@ class RtlCampaignBackend {
   Memory initial_mem_;  ///< loaded program image, COW ancestor of all runs
   Memory golden_mem_;
   CheckpointLadder<GoldenSnapshot> ladder_;
-  // Mixed fidelity only (empty/disabled otherwise): golden retirement
-  // boundaries — retire_cycle_[k] is the cycle at which instruction k+1
-  // retired, so upper_bound(inject_cycle) is the count of instructions
-  // retired at or before the instant — plus the ISS golden image and an
-  // ISS checkpoint ladder on the retired-instruction grid.
-  std::vector<u64> retire_cycle_;
-  Memory iss_golden_mem_;
-  CheckpointLadder<IssGoldenSnapshot> iss_ladder_;
   std::vector<fault::FaultSite> sites_;
   FailSiteSpec fail_spec_;  ///< parsed from opts_.fail_sites (test hook)
   // Node metadata snapshot (NodeId-indexed) for labelling results in

@@ -940,40 +940,6 @@ void Leon3Core::restore(const CoreCheckpoint& ck) {
   clear_cycle_scratch();
 }
 
-void Leon3Core::transplant(const iss::ArchState& st, u64 cycle, u64 instret,
-                           HaltReason halt, u8 trap_code) {
-  if (st.npc != st.pc + 4) {
-    throw std::invalid_argument(
-        "transplant: state has an in-flight control transfer (npc != pc+4); "
-        "advance the ISS to a drained instruction boundary first");
-  }
-  // Cold restart fetching from st.pc: empty pipeline, invalidated caches,
-  // cleared bus. Everything architectural is then poked over the reset
-  // values (including the %sp seed reset() plants).
-  reset(st.pc);
-  for (unsigned i = 0; i < RegFile::iss_phys_count(); ++i) {
-    rf_->poke_phys(i, st.regs[i]);
-  }
-  icc_.poke(st.icc.nzvc);
-  y_.poke(st.y);
-  cwp_.poke(st.cwp);
-  wdepth_.poke(st.window_depth);
-  // Golden-run coordinates of the boundary: keep the latency/instret
-  // arithmetic downstream on the golden timebase instead of restarting at 0.
-  cycle_ = cycle;
-  instret_ = instret;
-  halt_ = halt;
-  trap_code_ = trap_code;
-}
-
-void Leon3Core::transplant(const iss::ArchState& st, u64 cycle, u64 instret,
-                           HaltReason halt, u8 trap_code,
-                           const OffCoreTrace& trace_src, std::size_t writes,
-                           std::size_t reads) {
-  transplant(st, cycle, instret, halt, trap_code);
-  bus_.assign_prefix(trace_src, writes, reads);
-}
-
 CoreActivityScalars Leon3Core::activity_scalars() const {
   CoreActivityScalars s;
   s.slot_seq = {de_.seq, ra_.seq, ex_.seq, me_.seq, xc_.seq, wb_.seq};

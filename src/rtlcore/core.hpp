@@ -184,29 +184,6 @@ class Leon3Core {
   void restore(const CoreCheckpoint& ck, const OffCoreTrace& trace_src,
                std::size_t writes, std::size_t reads);
 
-  /// Import ISS architectural state at a drained instruction boundary (the
-  /// mixed-fidelity golden-prefix handoff). `st` must satisfy
-  /// npc == pc + 4 — a delay-slot state has in-flight control transfer that
-  /// an empty pipeline cannot represent; throws std::invalid_argument
-  /// otherwise. The core is reset to fetch from st.pc with an empty
-  /// pipeline and cold caches, the physical register file / icc / y / cwp /
-  /// window depth are poked to the ISS values, and the cycle/instret
-  /// counters are set to the golden-run coordinates of the boundary so
-  /// downstream latency arithmetic keeps the golden timebase. The off-core
-  /// trace is NOT touched here — transplant with a bus prefix via the
-  /// assign_prefix-style overload below, mirroring restore().
-  void transplant(const iss::ArchState& st, u64 cycle, u64 instret,
-                  iss::HaltReason halt = iss::HaltReason::kRunning,
-                  u8 trap_code = 0);
-
-  /// transplant() + rebuild of the off-core trace as the first
-  /// `writes`/`reads` records of `trace_src` (the golden bus prefix at the
-  /// boundary), exactly like the three-argument restore() overload.
-  void transplant(const iss::ArchState& st, u64 cycle, u64 instret,
-                  iss::HaltReason halt, u8 trap_code,
-                  const OffCoreTrace& trace_src, std::size_t writes,
-                  std::size_t reads);
-
   /// The cheap half of the activity fingerprint (no node traversal).
   CoreActivityScalars activity_scalars() const;
 

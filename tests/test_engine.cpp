@@ -385,19 +385,11 @@ TEST(ActivationOracle, HashInvariantAcrossThreadsAndStride) {
   }
 }
 
-// Mixed fidelity and transient faults never reach the oracle.
-TEST(ActivationOracle, OffUnderMixedFidelityAndForTransients) {
+// Transient faults never reach the oracle.
+TEST(ActivationOracle, OffForTransients) {
   const auto prog = small_workload();
   CampaignConfig cfg = oracle_cfg();
   cfg.samples = 12;
-  EngineOptions mixed;
-  mixed.threads = 1;
-  mixed.mixed_fidelity = true;
-  const CampaignResult m = run_rtl_campaign(prog, cfg, {}, mixed);
-  EXPECT_EQ(m.replay.activation_candidates, 0u);
-  EXPECT_EQ(m.replay.activation_silent, 0u);
-  EXPECT_EQ(m.replay.activation_scan_cycles, 0u);
-
   cfg.models = {FaultModel::kTransientBitFlip};
   EngineOptions opts;
   opts.threads = 1;
@@ -984,16 +976,6 @@ TEST(Engine, ProgressIsMonotonicAndComplete) {
   EXPECT_GE(calls, 2u);
 }
 
-TEST(Engine, ShardStreamsAreDeterministicAndDecorrelated) {
-  Xoshiro256 a0 = shard_stream(2015, 0);
-  Xoshiro256 a0_again = shard_stream(2015, 0);
-  Xoshiro256 a1 = shard_stream(2015, 1);
-  EXPECT_EQ(a0.next(), a0_again.next());
-  int same = 0;
-  for (int i = 0; i < 16; ++i) same += a0.next() == a1.next();
-  EXPECT_LT(same, 2);
-}
-
 TEST(Engine, ResolveThreadsClampsToSites) {
   EXPECT_EQ(resolve_threads(8, 3), 3u);
   EXPECT_EQ(resolve_threads(2, 100), 2u);
@@ -1093,14 +1075,15 @@ TEST(Engine, OptionsFromEnvRejectsMalformedValues) {
   }
 }
 
-// The knobs of the deleted lane-pool and staged-pipeline schedulers fail
-// loudly, by name, whatever their value: a script still setting one must
-// not silently get the serial engine it did not ask for.
+// The knobs of the deleted lane-pool and staged-pipeline schedulers and of
+// the deleted mixed-fidelity mode fail loudly, by name, whatever their
+// value: a script still setting one must not silently get an engine it did
+// not ask for.
 TEST(Engine, OptionsFromEnvRejectsRemovedSchedulerKnobs) {
   for (const char* name :
        {"ISSRTL_BATCH", "ISSRTL_SIMD", "ISSRTL_SIMD_TILE",
         "ISSRTL_SIMD_MIN_LIVE", "ISSRTL_REFILL", "ISSRTL_VECEVAL",
-        "ISSRTL_PIPELINE", "ISSRTL_PREFETCH_DEPTH"}) {
+        "ISSRTL_PIPELINE", "ISSRTL_PREFETCH_DEPTH", "ISSRTL_MIXED"}) {
     for (const char* v : {"0", "1", "16", "auto"}) {
       ScopedEnv k(name, v);
       try {
@@ -1143,35 +1126,6 @@ TEST(Engine, OptionsFromEnvParsesJournalAndResume) {
   for (const char* v : {"2", "x", "yes", "-1", "true", "01x"}) {
     ScopedEnv r("ISSRTL_RESUME", v);
     EXPECT_THROW(options_from_env(), std::invalid_argument) << v;
-  }
-}
-
-TEST(Engine, OptionsFromEnvParsesMixedFidelity) {
-  {
-    ScopedEnv m("ISSRTL_MIXED", "1");
-    EXPECT_TRUE(options_from_env().mixed_fidelity);
-  }
-  {
-    ScopedEnv m("ISSRTL_MIXED", "0");
-    EXPECT_FALSE(options_from_env().mixed_fidelity);
-  }
-  {
-    ScopedEnv m("ISSRTL_MIXED", nullptr);
-    EngineOptions base;
-    base.mixed_fidelity = true;
-    EXPECT_TRUE(options_from_env(base).mixed_fidelity);  // unset: untouched
-  }
-  // Mixed fidelity changes the experiment (it is folded into the campaign
-  // key) — a typo must not silently pick which experiment ran.
-  for (const char* v : {"2", "x", "yes", "-1", "true", "01x", " 1"}) {
-    ScopedEnv m("ISSRTL_MIXED", v);
-    try {
-      options_from_env();
-      FAIL() << "expected std::invalid_argument for '" << v << "'";
-    } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find("ISSRTL_MIXED"), std::string::npos)
-          << e.what();
-    }
   }
 }
 

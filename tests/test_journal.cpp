@@ -202,6 +202,17 @@ TEST(Journal, DifferentCampaignKeysUseDifferentFiles) {
   EXPECT_NE(a.path(), b.path());
 }
 
+// Journal identity: the key names the journal file, so a changed key
+// strands every journal written under the old one. Pinned for a small
+// pure-RTL campaign so a refactor that moves it cannot go unnoticed.
+TEST(Journal, RtlCampaignKeyPinned) {
+  const auto prog = small_workload();
+  EngineOptions opts;
+  opts.threads = 1;
+  const RtlCampaignBackend backend(prog, small_cfg(), {}, opts);
+  EXPECT_EQ(backend.campaign_key(), 0xe6e6401b108b391bull);
+}
+
 // ---- crash-and-resume determinism -------------------------------------------
 
 /// Kill points: before any site retired, mid-campaign, and a torn append
