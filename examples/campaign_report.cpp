@@ -204,35 +204,8 @@ int main(int argc, char** argv) try {
               workload.c_str(), r.runs.size(),
               static_cast<unsigned long long>(r.golden_cycles),
               static_cast<unsigned long long>(r.golden_instret));
-  std::printf("replay: ladder %llu rungs (%.1f KiB, %llu evicted), restores "
-              "%llu ladder / %llu rolling / %llu cold, fast-forward %llu "
-              "cycles, %llu convergence cutoffs (%llu shifted), activation "
-              "oracle %llu "
-              "candidates / %llu silent (%llu port-read) / %llu scan "
-              "cycles\n",
-              static_cast<unsigned long long>(r.replay.ladder_rungs),
-              r.replay.ladder_bytes / 1024.0,
-              static_cast<unsigned long long>(r.replay.ladder_evicted),
-              static_cast<unsigned long long>(r.replay.ladder_restores),
-              static_cast<unsigned long long>(r.replay.rolling_restores),
-              static_cast<unsigned long long>(r.replay.cold_resets),
-              static_cast<unsigned long long>(r.replay.fast_forward_cycles),
-              static_cast<unsigned long long>(r.replay.convergence_cutoffs),
-              static_cast<unsigned long long>(r.replay.shifted_cutoffs),
-              static_cast<unsigned long long>(r.replay.activation_candidates),
-              static_cast<unsigned long long>(r.replay.activation_silent),
-              static_cast<unsigned long long>(r.replay.activation_port_read),
-              static_cast<unsigned long long>(
-                  r.replay.activation_scan_cycles));
-  if (r.replay.journal_hits != 0 || r.replay.journal_dropped != 0 ||
-      r.replay.sites_retried != 0 || r.replay.sites_engine_error != 0) {
-    std::printf("durability: %llu journal hits (%llu dropped), "
-                "%llu sites retried, %llu engine errors\n",
-                static_cast<unsigned long long>(r.replay.journal_hits),
-                static_cast<unsigned long long>(r.replay.journal_dropped),
-                static_cast<unsigned long long>(r.replay.sites_retried),
-                static_cast<unsigned long long>(r.replay.sites_engine_error));
-  }
+  fault::print_replay(r.replay, "cycles");
+  fault::print_durability(r.replay);
   if (r.truncated) {
     std::printf("TRUNCATED: %zu/%zu sites completed; re-run with "
                 "--journal=DIR --resume to finish\n",

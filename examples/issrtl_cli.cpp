@@ -240,44 +240,11 @@ struct CampaignFlags {
   }
 };
 
-/// The replay-economics line shared by both campaign commands; `instants`
-/// names the backend's time unit.
-void print_replay(const fault::ReplayCounters& rc, const char* instants) {
-  std::printf("replay: ladder %llu rungs (%.1f KiB, %llu evicted), restores "
-              "%llu ladder / %llu rolling / %llu cold, fast-forward %llu "
-              "%s, %llu convergence cutoffs (%llu shifted), activation "
-              "oracle %llu "
-              "candidates / %llu silent (%llu port-read) / %llu latent / "
-              "%llu scan %s\n",
-              (unsigned long long)rc.ladder_rungs,
-              rc.ladder_bytes / 1024.0,
-              (unsigned long long)rc.ladder_evicted,
-              (unsigned long long)rc.ladder_restores,
-              (unsigned long long)rc.rolling_restores,
-              (unsigned long long)rc.cold_resets,
-              (unsigned long long)rc.fast_forward_cycles, instants,
-              (unsigned long long)rc.convergence_cutoffs,
-              (unsigned long long)rc.shifted_cutoffs,
-              (unsigned long long)rc.activation_candidates,
-              (unsigned long long)rc.activation_silent,
-              (unsigned long long)rc.activation_port_read,
-              (unsigned long long)rc.activation_latent,
-              (unsigned long long)rc.activation_scan_cycles, instants);
-}
-
 /// The durability line (only when something happened) and the truncation
 /// banner shared by both campaign commands; returns the exit code.
 int print_tail(const fault::ReplayCounters& rc, bool truncated,
                std::size_t completed, std::size_t total) {
-  if (rc.journal_hits != 0 || rc.journal_dropped != 0 ||
-      rc.sites_retried != 0 || rc.sites_engine_error != 0) {
-    std::printf("durability: %llu journal hits (%llu dropped), "
-                "%llu sites retried, %llu engine errors\n",
-                (unsigned long long)rc.journal_hits,
-                (unsigned long long)rc.journal_dropped,
-                (unsigned long long)rc.sites_retried,
-                (unsigned long long)rc.sites_engine_error);
-  }
+  fault::print_durability(rc);
   if (truncated) {
     std::printf("TRUNCATED: %zu/%zu sites completed; re-run with "
                 "--journal=DIR --resume to finish\n",
@@ -330,7 +297,7 @@ int cmd_campaign(const std::string& name, const std::string& unit,
               fault::pf_with_ci(s.pf(), s.pf_ci95()).c_str(), s.failures,
               s.hangs,
               s.latent, s.silent, s.errors, (unsigned long long)s.max_latency);
-  print_replay(r.replay, "cycles");
+  fault::print_replay(r.replay, "cycles");
   // Schedule-invariant fingerprint of every record: equal at any thread
   // count and ladder stride.
   std::printf("outcome_hash=%016llx\n",
@@ -360,7 +327,7 @@ int cmd_iss_campaign(const std::string& name, const std::string& model,
               name.c_str(), model.c_str(), s.runs,
               fault::pf_with_ci(s.pf(), s.pf_ci95()).c_str(), s.failures,
               s.latent, s.runs - s.failures - s.latent - s.errors, s.errors);
-  print_replay(r.replay, "instructions");
+  fault::print_replay(r.replay, "instructions");
   std::printf("outcome_hash=%016llx\n",
               (unsigned long long)fault::outcome_hash(r));
   return print_tail(r.replay, r.truncated, r.completed_sites, r.total_sites);

@@ -6,10 +6,11 @@
 // against a golden run. CampaignEngine owns that shape once, behind a
 // backend concept, and makes it fast:
 //
-//  * checkpointing — backends snapshot the golden prefix at each distinct
-//    injection instant (Leon3Core/Emulator checkpoint() + Memory::clone),
-//    so the prefix is simulated once per instant per worker instead of once
-//    per fault;
+//  * checkpointing — backends record a ladder of golden-run snapshots every
+//    `ladder_stride` instants (engine/ladder.hpp) and each worker keeps a
+//    rolling checkpoint at the last instant it was positioned at; a site's
+//    prefix resumes from the closer of the two and fast-forwards less than
+//    a stride (engine/golden.hpp) instead of re-simulating from reset;
 //  * parallelism — a pool of worker threads executes deterministically
 //    sharded fault lists. Site i always belongs to shard i % threads and
 //    its record always lands in slot i, so an N-thread run is bit-identical
@@ -365,7 +366,7 @@ class CampaignEngine {
           // Worker isolation: one fresh-restore retry distinguishes
           // transient host trouble from a deterministic engine bug; the
           // second throw is contained as an error record for this site
-          // only (run_site starts from prepare(), so the retry sees a
+          // only (run_site positions afresh, so the retry sees a
           // clean, fault-free restore).
           Record r;
           try {

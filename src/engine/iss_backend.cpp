@@ -13,14 +13,6 @@ namespace issrtl::engine {
 
 namespace {
 
-std::size_t snapshot_bytes(const IssCampaignBackend::GoldenSnapshot& s) {
-  // sizeof(s) covers the inline EmuCheckpoint (ArchState + InstrTrace
-  // count arrays; the off-core trace is omitted by checkpoint_lite);
-  // pages are COW-shared with the golden image and charged at
-  // bookkeeping cost.
-  return sizeof(s) + s.mem.allocated_pages() * 64;
-}
-
 /// Register-liveness scan state (see IssCampaignBackend::liveness): the
 /// sites still undecided, listed under their physical register, and the
 /// verdict table they resolve into. Fed by an observed golden replay; holds
@@ -113,48 +105,16 @@ IssCampaignBackend::IssCampaignBackend(const isa::Program& prog,
     : prog_(prog),
       cfg_(cfg),
       opts_(opts),
-      ladder_(opts.checkpoint ? initial_ladder_stride(opts.ladder_stride) : 0,
-              opts.ladder_max_bytes, ladder_rung_limit(opts.ladder_stride)) {
-  // Load the image once; the golden run and every worker reset clone from
-  // it so untouched pages stay COW-shared across the whole campaign.
-  prog_.load_into(initial_mem_);
-  golden_mem_ = initial_mem_.clone();
-  iss::Emulator golden(golden_mem_);
+      golden_(prog, opts) {
+  // The golden run gets Emulator::run's default bound, 10M instructions.
+  iss::Emulator golden(golden_.mem);
   golden.set_fast_path(opts_.iss_fast_path);
-  golden.reset(prog_.entry);
-  // The golden run, walked with the block-walk fast loop between points of
-  // the stride grid so the ladder can snapshot it there (same
-  // 10M-instruction watchdog as Emulator::run's default).
-  constexpr u64 kGoldenMaxSteps = 10'000'000;
-  while (golden.instret() < kGoldenMaxSteps &&
-         golden.halt_reason() == iss::HaltReason::kRunning) {
-    if (ladder_.wants(golden.instret())) {
-      auto snap = std::make_shared<GoldenSnapshot>();
-      snap->emu = golden.checkpoint_lite();
-      snap->mem = golden_mem_.clone();
-      snap->writes = golden.offcore().writes().size();
-      snap->reads = golden.offcore().reads().size();
-      const std::size_t bytes = snapshot_bytes(*snap);
-      ladder_.record(golden.instret(), std::move(snap), bytes);
-    }
-    // The stride may double as the auto ladder thins itself, so it is
-    // re-read every lap.
-    u64 target = kGoldenMaxSteps;
-    if (ladder_.enabled()) {
-      const u64 stride = ladder_.stride();
-      target = std::min(target, (golden.instret() / stride + 1) * stride);
-    }
-    golden.advance(target - golden.instret());
-  }
-  if (golden.halt_reason() != iss::HaltReason::kHalted) {
+  if (golden_.record(golden, 10'000'000, cfg_.watchdog_factor) !=
+      iss::HaltReason::kHalted) {
     throw std::runtime_error("ISS golden run did not halt cleanly");
   }
   golden_instret_ = golden.instret();
-  golden_trace_ = golden.offcore();
   golden_state_ = golden.state();
-  watchdog_ = static_cast<u64>(static_cast<double>(golden_instret_) *
-                                   cfg_.watchdog_factor +
-                               1000);
 
   // Same draw order as the original serial driver (models outer, samples
   // inner, three draws per site) so fault lists stay bit-identical.
@@ -178,21 +138,14 @@ IssCampaignBackend::IssCampaignBackend(const isa::Program& prog,
 u64 IssCampaignBackend::campaign_key() const {
   Fingerprint fp;
   fp.mix_str("issrtl-iss-campaign-v1");
-  fp.mix_str(prog_.name);
-  fp.mix(prog_.code_base);
-  fp.mix(prog_.data_base);
-  fp.mix(prog_.entry);
-  fp.mix(prog_.code.size());
-  for (const u32 w : prog_.code) fp.mix(w);
-  fp.mix(prog_.data.size());
-  fp.mix_bytes(prog_.data.data(), prog_.data.size());
+  mix_program(fp, prog_);
   fp.mix(cfg_.models.size());
   for (const iss::IssFaultModel m : cfg_.models) fp.mix(static_cast<u64>(m));
   fp.mix(cfg_.samples);
   fp.mix(cfg_.seed);
   fp.mix_bytes(&cfg_.watchdog_factor, sizeof(cfg_.watchdog_factor));
   fp.mix(golden_instret_);
-  fp.mix(golden_trace_.writes().size());
+  fp.mix(golden_.trace.writes().size());
   fp.mix(faults_.size());
   return fp.h;
 }
@@ -225,9 +178,10 @@ IssCampaignBackend::Record IssCampaignBackend::record_from_journal(
     const JournalEntry& e) const {
   Record r;
   r.fault = faults_[e.index];
-  r.engine_error = e.outcome == 4;
-  r.failure = e.outcome == 2;
-  r.latent = e.outcome == 1;
+  const auto outcome = static_cast<fault::Outcome>(e.outcome);
+  r.engine_error = outcome == fault::Outcome::kEngineError;
+  r.failure = outcome == fault::Outcome::kFailure;
+  r.latent = outcome == fault::Outcome::kLatent;
   r.latency_instr = e.latency;
   r.error = e.error;
   return r;
@@ -246,7 +200,7 @@ IssCampaignBackend::Liveness IssCampaignBackend::liveness(
     std::size_t i) const {
   // A watchdog below the golden length would end even the golden run
   // early, so the golden run would not be the faulty run's twin.
-  if (watchdog_ < golden_instret_) return Liveness::kSimulate;
+  if (golden_.watchdog < golden_instret_) return Liveness::kSimulate;
   std::call_once(liveness_once_, [this] { build_liveness_table(); });
   return liveness_.at(i);
 }
@@ -259,7 +213,7 @@ void IssCampaignBackend::build_liveness_table() const {
   for (std::size_t i = 0; i < faults_.size(); ++i) {
     if (faults_[i].inject_at_instr < golden_instret_) order.push_back(i);
   }
-  activation_candidates_ = order.size();
+  golden_.tally.activation_candidates = order.size();
   if (order.empty()) return;
   const auto instant = [this](std::size_t i) {
     return faults_[i].inject_at_instr;
@@ -275,14 +229,7 @@ void IssCampaignBackend::build_liveness_table() const {
   Memory mem;
   iss::Emulator emu(mem);
   emu.set_fast_path(opts_.iss_fast_path);
-  if (const auto* rung = ladder_.best_at_or_below(instant(order.front()))) {
-    emu.restore(rung->snap->emu, golden_trace_, rung->snap->writes,
-                rung->snap->reads);
-    mem = rung->snap->mem.clone();
-  } else {
-    mem = initial_mem_.clone();
-    emu.reset(prog_.entry);
-  }
+  golden_.restore(emu, mem, golden_.rung_at_or_below(instant(order.front())));
   const u64 start = emu.instret();
   LivenessScan scan(faults_, liveness_);
   std::size_t armed = 0;
@@ -301,7 +248,7 @@ void IssCampaignBackend::build_liveness_table() const {
   if (emu.halt_reason() == iss::HaltReason::kHalted) {
     scan.finish(emu.state().regs);
   }
-  activation_scan_instrs_ = emu.instret() - start;
+  golden_.tally.activation_scan_cycles = emu.instret() - start;
 }
 
 std::unique_ptr<IssCampaignBackend::Worker> IssCampaignBackend::make_worker(
@@ -311,50 +258,10 @@ std::unique_ptr<IssCampaignBackend::Worker> IssCampaignBackend::make_worker(
 
 IssCampaignBackend::Worker::Worker(const IssCampaignBackend& backend,
                                    unsigned /*shard*/)
-    : b_(backend), emu_(mem_) {
+    : b_(backend),
+      emu_(mem_),
+      pos_(backend.golden_) {
   emu_.set_fast_path(backend.opts_.iss_fast_path);
-}
-
-void IssCampaignBackend::Worker::prepare(u64 inject_at_instr) {
-  emu_.clear_faults();
-  const auto* rung = b_.opts_.checkpoint
-                         ? b_.ladder_.best_at_or_below(inject_at_instr)
-                         : nullptr;
-  const bool rolling_usable = b_.opts_.checkpoint && have_checkpoint_ &&
-                              checkpoint_.instret <= inject_at_instr;
-  if (rolling_usable &&
-      (rung == nullptr || rung->instant <= checkpoint_.instret)) {
-    emu_.restore(checkpoint_, b_.golden_trace_, checkpoint_writes_,
-                 checkpoint_reads_);
-    mem_ = checkpoint_mem_.clone();
-    b_.rolling_restores_.fetch_add(1, std::memory_order_relaxed);
-  } else if (rung != nullptr) {
-    emu_.restore(rung->snap->emu, b_.golden_trace_, rung->snap->writes,
-                 rung->snap->reads);
-    mem_ = rung->snap->mem.clone();
-    b_.ladder_restores_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    mem_ = b_.initial_mem_.clone();
-    emu_.reset(b_.prog_.entry);
-    have_checkpoint_ = false;
-    b_.cold_resets_.fetch_add(1, std::memory_order_relaxed);
-  }
-  // The fault-free prefix takes the emulator's block-walking fast loop.
-  if (emu_.instret() < inject_at_instr &&
-      emu_.halt_reason() == iss::HaltReason::kRunning) {
-    const u64 before = emu_.instret();
-    emu_.advance(inject_at_instr - before);
-    b_.fast_forward_instrs_.fetch_add(emu_.instret() - before,
-                                      std::memory_order_relaxed);
-  }
-  if (b_.opts_.checkpoint &&
-      (!have_checkpoint_ || checkpoint_.instret != emu_.instret())) {
-    checkpoint_ = emu_.checkpoint_lite();
-    checkpoint_mem_ = mem_.clone();
-    checkpoint_writes_ = emu_.offcore().writes().size();
-    checkpoint_reads_ = emu_.offcore().reads().size();
-    have_checkpoint_ = true;
-  }
 }
 
 fault::IssInjectionResult IssCampaignBackend::Worker::run_site(
@@ -366,63 +273,40 @@ fault::IssInjectionResult IssCampaignBackend::Worker::run_site(
     // position or step.
     maybe_fail_site(b_.fail_spec_, fail_attempts_, index);
     const bool latent = verdict == Liveness::kLatent;
-    (latent ? b_.activation_latent_ : b_.activation_silent_)
-        .fetch_add(1, std::memory_order_relaxed);
+    fault::ReplayCounters& tally = b_.golden_.tally;
+    bump(latent ? tally.activation_latent : tally.activation_silent);
     fault::IssInjectionResult result;
     result.fault = fault;
     result.latent = latent;
     return result;
   }
-  prepare(fault.inject_at_instr);
+  pos_.position(emu_, mem_, fault.inject_at_instr);
   emu_.arm_fault(fault);
   maybe_fail_site(b_.fail_spec_, fail_attempts_, index);
 
-  // The serial driver gave run() the whole watchdog from reset; the prefix
-  // consumed inject_at_instr steps of it. A prefix already at or past the
-  // watchdog gets no further steps (same off-by-one as the RTL backend).
-  u64 budget = b_.watchdog_ > emu_.instret()
-                   ? b_.watchdog_ - emu_.instret()
-                   : 0;
-  const std::vector<BusRecord>& golden_writes = b_.golden_trace_.writes();
-  // Every prefix write replayed the golden run, so matching (and the final
-  // comparison) resumes here.
+  // The final comparison, like the monitor, resumes after the prefix writes.
   const std::size_t prefix_writes = emu_.offcore().writes().size();
-  std::size_t matched = prefix_writes;
   // A bit-flip is applied once and never enforced again, so a faulty run
   // whose architectural state and memory coincide with the golden run at
   // the same retired-instruction count is provably identical from there
   // on: compare against ladder rungs as they are crossed.
-  const bool converge = b_.opts_.converge_cutoff && b_.ladder_.enabled() &&
+  const bool converge = b_.opts_.converge_cutoff &&
+                        b_.golden_.ladder.enabled() &&
                         fault.model == iss::IssFaultModel::kBitFlip;
-  const bool track_writes = b_.opts_.early_stop || converge;
-  const u64 rung_stride = b_.ladder_.stride();
-  bool write_mismatch = false;
-  bool definite_divergence = false;
+  SuffixMonitor monitor(b_.golden_, emu_, b_.opts_.early_stop);
+  const u64 rung_stride = b_.golden_.ladder.stride();
   iss::HaltReason halt = emu_.halt_reason();
-  while (budget > 0 && halt == iss::HaltReason::kRunning &&
-         !definite_divergence) {
+  while (monitor.running(halt)) {
     halt = emu_.step();
-    --budget;
-    if (track_writes) {
-      const std::vector<BusRecord>& writes = emu_.offcore().writes();
-      while (!write_mismatch && matched < writes.size()) {
-        if (matched >= golden_writes.size() ||
-            !writes[matched].same_payload(golden_writes[matched])) {
-          write_mismatch = true;
-          if (b_.opts_.early_stop) definite_divergence = true;
-        } else {
-          ++matched;
-        }
-      }
-    }
-    if (converge && !write_mismatch && halt == iss::HaltReason::kRunning &&
+    monitor.stepped(emu_.offcore());
+    if (converge && !monitor.mismatch() && halt == iss::HaltReason::kRunning &&
         emu_.instret() > fault.inject_at_instr &&
         emu_.instret() % rung_stride == 0) {
-      if (const auto* rung = b_.ladder_.at(emu_.instret())) {
+      if (const auto* rung = b_.golden_.ladder.at(emu_.instret())) {
         const GoldenSnapshot& g = *rung->snap;
         if (emu_.offcore().writes().size() == g.writes &&
-            emu_.state() == g.emu.state && emu_.memory().equals(g.mem)) {
-          b_.convergence_cutoffs_.fetch_add(1, std::memory_order_relaxed);
+            emu_.state() == g.ckpt.state && emu_.memory().equals(g.mem)) {
+          bump(b_.golden_.tally.convergence_cutoffs);
           fault::IssInjectionResult result;
           result.fault = fault;  // silent: failure/latent stay false
           return result;
@@ -430,14 +314,12 @@ fault::IssInjectionResult IssCampaignBackend::Worker::run_site(
       }
     }
   }
-  if (halt == iss::HaltReason::kRunning && !definite_divergence) {
-    halt = iss::HaltReason::kStepLimit;
-  }
+  halt = monitor.final_halt(halt);
 
   fault::IssInjectionResult result;
   result.fault = fault;
   const TraceDivergence div =
-      emu_.offcore().compare_writes(b_.golden_trace_, prefix_writes);
+      emu_.offcore().compare_writes(b_.golden_.trace, prefix_writes);
   if (div.diverged || halt != iss::HaltReason::kHalted) {
     result.failure = true;
     result.latency_instr = div.diverged && div.cycle > fault.inject_at_instr
@@ -457,29 +339,7 @@ fault::IssCampaignResult IssCampaignBackend::finish(EngineRun<Record> run) const
   fault::IssCampaignResult result;
   result.workload = prog_.name;
   result.golden_instret = golden_instret_;
-  result.replay.ladder_rungs = ladder_.rung_count();
-  result.replay.ladder_bytes = ladder_.total_bytes();
-  result.replay.ladder_evicted = ladder_.evicted_count();
-  result.replay.ladder_restores = ladder_restores_.load();
-  result.replay.rolling_restores = rolling_restores_.load();
-  result.replay.cold_resets = cold_resets_.load();
-  result.replay.fast_forward_cycles = fast_forward_instrs_.load();
-  result.replay.convergence_cutoffs = convergence_cutoffs_.load();
-  result.replay.activation_candidates = activation_candidates_;
-  result.replay.activation_silent = activation_silent_.load();
-  result.replay.activation_latent = activation_latent_.load();
-  result.replay.activation_scan_cycles = activation_scan_instrs_;
-  result.replay.journal_hits = run.journal_hits;
-  result.replay.journal_dropped = run.journal_dropped;
-  result.replay.sites_retried = run.sites_retried;
-  result.replay.sites_engine_error = run.engine_errors;
-  result.truncated = run.truncated;
-  result.completed_sites = run.completed;
-  result.total_sites = run.records.size();
-  result.runs.reserve(run.completed);
-  for (std::size_t i = 0; i < run.records.size(); ++i) {
-    if (run.done[i] != 0) result.runs.push_back(std::move(run.records[i]));
-  }
+  collect(result, run, golden_);
   // Aggregate by each record's own model (not by fault-list position: a
   // truncated run holds an arbitrary done-subset of the site list).
   for (const iss::IssFaultModel model : cfg_.models) {

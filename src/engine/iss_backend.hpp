@@ -1,10 +1,10 @@
 // ISS fault backend for CampaignEngine: classical register-file injection
 // (the paper's [7][20] style) behind the same enumerate → ladder →
 // faulty-suffix → classify shape as the RTL backend, used for the §4.2
-// "Simulation time" comparison.
+// "Simulation time" comparison. The golden replay (ladder, positioning,
+// write monitor, tally) is engine/golden.hpp.
 #pragma once
 
-#include <atomic>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -12,8 +12,8 @@
 #include <vector>
 
 #include "engine/engine.hpp"
+#include "engine/golden.hpp"
 #include "engine/journal.hpp"
-#include "engine/ladder.hpp"
 #include "fault/campaign.hpp"
 #include "fault/iss_campaign.hpp"
 
@@ -24,15 +24,7 @@ class IssCampaignBackend {
   using Record = fault::IssInjectionResult;
 
   /// One ladder rung: the golden emulator at an instruction boundary.
-  /// `emu` is a checkpoint_lite() snapshot (no trace copy); `mem` a COW
-  /// clone of the golden memory; `writes`/`reads` the golden bus-trace
-  /// prefix lengths at that instant.
-  struct GoldenSnapshot {
-    iss::EmuCheckpoint emu;
-    Memory mem;
-    std::size_t writes = 0;
-    std::size_t reads = 0;
-  };
+  using GoldenSnapshot = SnapshotOf<iss::Emulator>;
 
   IssCampaignBackend(const isa::Program& prog,
                      const fault::IssCampaignConfig& cfg,
@@ -44,7 +36,7 @@ class IssCampaignBackend {
   }
   const std::vector<iss::IssFault>& faults() const noexcept { return faults_; }
   const CheckpointLadder<GoldenSnapshot>& ladder() const noexcept {
-    return ladder_;
+    return golden_.ladder;
   }
 
   /// Durability hooks (see engine.hpp): campaign identity over (workload
@@ -88,21 +80,10 @@ class IssCampaignBackend {
     Record run_site(std::size_t index);
 
    private:
-    /// Position the emulator fault-free at `inject_at_instr`: from the
-    /// rolling shard checkpoint or the best ladder rung — whichever is not
-    /// ahead of us and closer — or from reset when neither exists.
-    void prepare(u64 inject_at_instr);
-
     const IssCampaignBackend& b_;
     Memory mem_;
     iss::Emulator emu_;
-    // Rolling checkpoint: checkpoint_lite() + golden-trace prefix lengths
-    // (fault-free prefixes only, so the trace is a golden prefix).
-    bool have_checkpoint_ = false;
-    iss::EmuCheckpoint checkpoint_;
-    Memory checkpoint_mem_;
-    std::size_t checkpoint_writes_ = 0;
-    std::size_t checkpoint_reads_ = 0;
+    Positioner<iss::Emulator> pos_;
     std::map<std::size_t, unsigned> fail_attempts_;  ///< ISSRTL_FAIL_SITE
   };
 
@@ -126,27 +107,13 @@ class IssCampaignBackend {
   EngineOptions opts_;
 
   u64 golden_instret_ = 0;
-  u64 watchdog_ = 0;
-  OffCoreTrace golden_trace_;
+  GoldenRun<iss::Emulator> golden_;
   iss::ArchState golden_state_;
-  Memory initial_mem_;  ///< loaded program image, COW ancestor of all runs
-  Memory golden_mem_;
-  CheckpointLadder<GoldenSnapshot> ladder_;
   std::vector<iss::IssFault> faults_;
   FailSiteSpec fail_spec_;  ///< parsed from opts_.fail_sites (test hook)
-  // Replay economics (informational only — see fault::ReplayCounters).
-  mutable std::atomic<u64> ladder_restores_{0};
-  mutable std::atomic<u64> rolling_restores_{0};
-  mutable std::atomic<u64> cold_resets_{0};
-  mutable std::atomic<u64> fast_forward_instrs_{0};
-  mutable std::atomic<u64> convergence_cutoffs_{0};
-  mutable std::atomic<u64> activation_silent_{0};
-  mutable std::atomic<u64> activation_latent_{0};
   // Register-liveness oracle table, built once by the first site.
   mutable std::once_flag liveness_once_;
   mutable std::vector<Liveness> liveness_;  ///< site-indexed
-  mutable u64 activation_candidates_ = 0;
-  mutable u64 activation_scan_instrs_ = 0;
 };
 
 /// Full engine-backed ISS campaign. fault::run_iss_campaign is the serial

@@ -25,16 +25,6 @@ bool states_match(const rtlcore::Leon3Core& faulty,
   return true;
 }
 
-/// Rung-size estimate for the ladder's byte cap: the node-value array plus
-/// fixed overhead plus per-page bookkeeping. COW pages are shared with the
-/// golden image, so a rung is charged the pointer-copy cost per page, not
-/// 4 KiB — the bytes a later store forces to be copied are attributed to
-/// the writer, not the snapshot.
-std::size_t snapshot_bytes(const RtlCampaignBackend::GoldenSnapshot& s) {
-  return s.core.node_values.size() * sizeof(u32) +
-         s.mem.allocated_pages() * 64 + sizeof(s);
-}
-
 }  // namespace
 
 RtlCampaignBackend::RtlCampaignBackend(const isa::Program& prog,
@@ -45,47 +35,18 @@ RtlCampaignBackend::RtlCampaignBackend(const isa::Program& prog,
       cfg_(cfg),
       core_cfg_(core_cfg),
       opts_(opts),
-      ladder_(opts.checkpoint ? initial_ladder_stride(opts.ladder_stride) : 0,
-              opts.ladder_max_bytes, ladder_rung_limit(opts.ladder_stride)) {
-  // Load the program image once; the golden memory and every worker reset
-  // clone from it, so pages neither run touches stay COW-shared and the
-  // latent check's Memory::equals can short-circuit them by pointer.
-  prog_.load_into(initial_mem_);
-  golden_mem_ = initial_mem_.clone();
-  rtlcore::Leon3Core golden(golden_mem_, core_cfg_);
-  golden.reset(prog_.entry);
-  // The golden run, stepped manually so the ladder can snapshot it on the
-  // stride grid (same 50M-cycle watchdog as Leon3Core::run's default).
-  constexpr u64 kGoldenMaxCycles = 50'000'000;
-  for (u64 i = 0;
-       i < kGoldenMaxCycles && golden.halt_reason() == iss::HaltReason::kRunning;
-       ++i) {
-    if (ladder_.wants(golden.cycles())) {
-      auto snap = std::make_shared<GoldenSnapshot>();
-      snap->core = golden.checkpoint_lite();
-      snap->mem = golden_mem_.clone();
-      snap->writes = golden.offcore().writes().size();
-      snap->reads = golden.offcore().reads().size();
-      const std::size_t bytes = snapshot_bytes(*snap);
-      ladder_.record(golden.cycles(), std::move(snap), bytes);
-    }
-    golden.step();
-  }
+      golden_(prog, opts) {
+  // The golden run gets Leon3Core::run's default bound, 50M cycles.
+  rtlcore::Leon3Core golden(golden_.mem, core_cfg_);
   const iss::HaltReason golden_halt =
-      golden.halt_reason() == iss::HaltReason::kRunning
-          ? iss::HaltReason::kStepLimit
-          : golden.halt_reason();
+      golden_.record(golden, 50'000'000, cfg_.watchdog_factor);
   if (golden_halt != iss::HaltReason::kHalted) {
     throw std::runtime_error("golden run did not halt cleanly: " +
                              std::string(iss::halt_reason_name(golden_halt)));
   }
   golden_cycles_ = golden.cycles();
   golden_instret_ = golden.instret();
-  golden_trace_ = golden.offcore();
   golden_state_ = golden.arch_state();
-  watchdog_ = static_cast<u64>(static_cast<double>(golden_cycles_) *
-                                   cfg_.watchdog_factor +
-                               1000);
   sites_ = fault::build_fault_list(golden.sim(), cfg_, golden_cycles_);
   fail_spec_ = parse_fail_sites(opts_.fail_sites);
   // Snapshot the node metadata so finish() can label records without the
@@ -101,14 +62,15 @@ RtlCampaignBackend::RtlCampaignBackend(const isa::Program& prog,
   }
 }
 
-bool RtlCampaignBackend::GoldenSnapshot::matches(
-    const rtlcore::Leon3Core& c) const {
+bool matches(const RtlCampaignBackend::GoldenSnapshot& g,
+             const rtlcore::Leon3Core& c) {
   const rtlcore::CoreActivityScalars sc = c.activity_scalars();
-  return sc.instret == core.instret && sc.slot_seq == core.slot_seq &&
-         sc.next_fetch_seq == core.next_fetch_seq &&
-         sc.redirect_after_seq == core.redirect_after_seq &&
-         sc.annul_seq == core.annul_seq && sc.bus_writes == writes &&
-         c.node_values_equal(core.node_values) && c.memory().equals(mem);
+  const rtlcore::CoreCheckpoint& k = g.ckpt;
+  return sc.instret == k.instret && sc.slot_seq == k.slot_seq &&
+         sc.next_fetch_seq == k.next_fetch_seq &&
+         sc.redirect_after_seq == k.redirect_after_seq &&
+         sc.annul_seq == k.annul_seq && sc.bus_writes == g.writes &&
+         c.node_values_equal(k.node_values) && c.memory().equals(g.mem);
 }
 
 std::unique_ptr<RtlCampaignBackend::Worker> RtlCampaignBackend::make_worker(
@@ -119,15 +81,7 @@ std::unique_ptr<RtlCampaignBackend::Worker> RtlCampaignBackend::make_worker(
 u64 RtlCampaignBackend::campaign_key() const {
   Fingerprint fp;
   fp.mix_str("issrtl-rtl-campaign-v1");
-  // Workload image: name, layout and every code/data byte.
-  fp.mix_str(prog_.name);
-  fp.mix(prog_.code_base);
-  fp.mix(prog_.data_base);
-  fp.mix(prog_.entry);
-  fp.mix(prog_.code.size());
-  for (const u32 w : prog_.code) fp.mix(w);
-  fp.mix(prog_.data.size());
-  fp.mix_bytes(prog_.data.data(), prog_.data.size());
+  mix_program(fp, prog_);
   // Campaign config: every field that shapes the fault list or the
   // classification of a site.
   fp.mix_str(cfg_.unit_prefix);
@@ -148,7 +102,7 @@ u64 RtlCampaignBackend::campaign_key() const {
   // semantics — any change to either moves these and retires the journal.
   fp.mix(golden_cycles_);
   fp.mix(golden_instret_);
-  fp.mix(golden_trace_.writes().size());
+  fp.mix(golden_.trace.writes().size());
   fp.mix(sites_.size());
   return fp.h;
 }
@@ -202,7 +156,7 @@ bool RtlCampaignBackend::oracle_applies(
     const fault::FaultSite& s) const noexcept {
   // A watchdog below the golden length would end even the golden run as a
   // hang.
-  if (watchdog_ < golden_cycles_) return false;
+  if (golden_.watchdog < golden_cycles_) return false;
   return s.model == rtl::FaultModel::kStuckAt0 ||
          s.model == rtl::FaultModel::kStuckAt1 ||
          s.model == rtl::FaultModel::kOpenLine;
@@ -226,7 +180,7 @@ void RtlCampaignBackend::build_activation_table() const {
   // boundary value that activates the fault, so only sites that agree with
   // every later rung are worth a replay. Port-read sites skip it: their
   // watch fires on reads, about which a rung value says nothing.
-  const auto& rungs = ladder_.rungs();
+  const auto& rungs = golden_.ladder.rungs();
   std::vector<std::size_t> cands;
   for (std::size_t i = 0; i < sites_.size(); ++i) {
     const fault::FaultSite& s = sites_[i];
@@ -241,15 +195,15 @@ void RtlCampaignBackend::build_activation_table() const {
     const u32 mask = 1u << s.bit;
     u32 want = s.model == rtl::FaultModel::kStuckAt1 ? mask : 0;
     if (s.model == rtl::FaultModel::kOpenLine && it != rungs.end()) {
-      want = it->snap->core.node_values[s.node] & mask;
+      want = it->snap->ckpt.node_values[s.node] & mask;
     }
     bool same = true;
     for (; same && it != rungs.end(); ++it) {
-      same = (it->snap->core.node_values[s.node] & mask) == want;
+      same = (it->snap->ckpt.node_values[s.node] & mask) == want;
     }
     if (same) cands.push_back(i);
   }
-  activation_candidates_ = cands.size();
+  golden_.tally.activation_candidates = cands.size();
   if (cands.empty()) return;
   std::stable_sort(cands.begin(), cands.end(),
                    [&](std::size_t a, std::size_t b) {
@@ -261,14 +215,7 @@ void RtlCampaignBackend::build_activation_table() const {
   // activated or the run halts.
   Memory mem;
   rtlcore::Leon3Core core(mem, core_cfg_);
-  if (const auto* rung = ladder_.best_at_or_below(instant(cands.front()))) {
-    core.restore(rung->snap->core, golden_trace_, rung->snap->writes,
-                 rung->snap->reads);
-    mem = rung->snap->mem.clone();
-  } else {
-    mem = initial_mem_.clone();
-    core.reset(prog_.entry);
-  }
+  golden_.restore(core, mem, golden_.rung_at_or_below(instant(cands.front())));
   rtl::SimContext& sim = core.sim();
   std::vector<std::size_t> handles(cands.size());
   std::size_t armed = 0;
@@ -289,54 +236,14 @@ void RtlCampaignBackend::build_activation_table() const {
   for (std::size_t k = 0; k < armed; ++k) {
     never_activated_[cands[k]] = sim.activated(handles[k]) ? 0 : 1;
   }
-  activation_scan_cycles_ = stepped;
+  golden_.tally.activation_scan_cycles = stepped;
 }
 
 RtlCampaignBackend::Worker::Worker(const RtlCampaignBackend& backend,
                                    unsigned /*shard*/)
-    : b_(backend), core_(mem_, backend.core_cfg_) {}
-
-void RtlCampaignBackend::Worker::prepare(u64 inject_cycle) {
-  core_.sim().clear_faults();
-  const auto* rung =
-      b_.opts_.checkpoint ? b_.ladder_.best_at_or_below(inject_cycle) : nullptr;
-  const bool rolling_usable = b_.opts_.checkpoint && have_checkpoint_ &&
-                              checkpoint_.cycle <= inject_cycle;
-  if (rolling_usable &&
-      (rung == nullptr || rung->instant <= checkpoint_.cycle)) {
-    core_.restore(checkpoint_, b_.golden_trace_, checkpoint_writes_,
-                  checkpoint_reads_);
-    mem_ = checkpoint_mem_.clone();
-    b_.rolling_restores_.fetch_add(1, std::memory_order_relaxed);
-  } else if (rung != nullptr) {
-    core_.restore(rung->snap->core, b_.golden_trace_, rung->snap->writes,
-                  rung->snap->reads);
-    mem_ = rung->snap->mem.clone();
-    b_.ladder_restores_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    mem_ = b_.initial_mem_.clone();
-    core_.reset(b_.prog_.entry);
-    have_checkpoint_ = false;
-    b_.cold_resets_.fetch_add(1, std::memory_order_relaxed);
-  }
-  u64 stepped = 0;
-  while (core_.cycles() < inject_cycle &&
-         core_.halt_reason() == iss::HaltReason::kRunning) {
-    core_.step();
-    ++stepped;
-  }
-  if (stepped != 0) {
-    b_.fast_forward_cycles_.fetch_add(stepped, std::memory_order_relaxed);
-  }
-  if (b_.opts_.checkpoint &&
-      (!have_checkpoint_ || checkpoint_.cycle != core_.cycles())) {
-    checkpoint_ = core_.checkpoint_lite();
-    checkpoint_mem_ = mem_.clone();
-    checkpoint_writes_ = core_.offcore().writes().size();
-    checkpoint_reads_ = core_.offcore().reads().size();
-    have_checkpoint_ = true;
-  }
-}
+    : b_(backend),
+      core_(mem_, backend.core_cfg_),
+      pos_(backend.golden_) {}
 
 fault::InjectionResult RtlCampaignBackend::Worker::run_site(
     std::size_t index) {
@@ -344,9 +251,9 @@ fault::InjectionResult RtlCampaignBackend::Worker::run_site(
   if (b_.never_activated(index)) {
     // The faulty run is the golden run: nothing to position or step.
     maybe_fail_site(b_.fail_spec_, fail_attempts_, index);
-    b_.activation_silent_.fetch_add(1, std::memory_order_relaxed);
+    bump(b_.golden_.tally.activation_silent);
     if (b_.node_port_read_[site.node] != 0) {
-      b_.activation_port_read_.fetch_add(1, std::memory_order_relaxed);
+      bump(b_.golden_.tally.activation_port_read);
     }
     fault::InjectionResult result;
     result.site = site;
@@ -354,19 +261,10 @@ fault::InjectionResult RtlCampaignBackend::Worker::run_site(
     result.halt = iss::HaltReason::kHalted;
     return result;
   }
-  prepare(site.inject_cycle);
+  pos_.position(core_, mem_, site.inject_cycle);
   core_.sim().arm_fault(site.node, site.model, site.bit);
   maybe_fail_site(b_.fail_spec_, fail_attempts_, index);
 
-  // Faulty suffix under the serial driver's cycle budget: total cycles,
-  // golden prefix included, may not exceed the watchdog. A prefix already at
-  // or past the watchdog gets no further cycles and classifies as a hang
-  // immediately (a budget of 1 would step past the watchdog).
-  u64 budget =
-      b_.watchdog_ > core_.cycles() ? b_.watchdog_ - core_.cycles() : 0;
-  const std::vector<BusRecord>& golden_writes = b_.golden_trace_.writes();
-  // Every prefix write replayed the golden run, so matching resumes here.
-  std::size_t matched = core_.offcore().writes().size();
   // Convergence cut-off. A transient fault leaves no armed overlay behind,
   // so once the faulty run's full state (node values, activity scalars,
   // memory, all writes matched so far) equals a golden rung's state, the
@@ -377,68 +275,50 @@ fault::InjectionResult RtlCampaignBackend::Worker::run_site(
   // records, and classification compares write payloads only. Rungs are
   // ascending in instret, so a cursor follows the faulty instret and only
   // rungs at exactly that instret pay for the compare.
-  bool converge = b_.opts_.converge_cutoff && b_.ladder_.enabled() &&
+  bool converge = b_.opts_.converge_cutoff && b_.golden_.ladder.enabled() &&
                   site.model == rtl::FaultModel::kTransientBitFlip;
-  const bool track_writes = b_.opts_.early_stop || converge;
+  // A prefix already at or past the watchdog classifies as a hang at once.
+  SuffixMonitor monitor(b_.golden_, core_, b_.opts_.early_stop);
   // Cursor: the first rung whose instret is not below the faulty run's,
   // and that rung's instret (~0 past the last rung).
-  const auto& rungs = b_.ladder_.rungs();
+  const auto& rungs = b_.golden_.ladder.rungs();
   std::size_t next_rung = rungs.size();
   if (converge) {
     next_rung = static_cast<std::size_t>(
         std::lower_bound(rungs.begin(), rungs.end(), core_.instret(),
                          [](const auto& r, u64 v) {
-                           return r.snap->core.instret < v;
+                           return r.snap->ckpt.instret < v;
                          }) -
         rungs.begin());
   }
   const auto instret_of = [&rungs](std::size_t k) {
-    return k < rungs.size() ? rungs[k].snap->core.instret : ~u64{0};
+    return k < rungs.size() ? rungs[k].snap->ckpt.instret : ~u64{0};
   };
   u64 next_instret = instret_of(next_rung);
-  bool write_mismatch = false;
-  bool definite_divergence = false;
   rtlcore::CoreActivityScalars scalars_prev;
   bool scalars_valid = false;
   bool nodes_valid = false;
   iss::HaltReason halt = core_.halt_reason();
-  while (budget > 0 && halt == iss::HaltReason::kRunning &&
-         !definite_divergence) {
+  while (monitor.running(halt)) {
     core_.step();
-    --budget;
     halt = core_.halt_reason();
-    if (track_writes) {
-      const std::vector<BusRecord>& writes = core_.offcore().writes();
-      while (!write_mismatch && matched < writes.size()) {
-        if (matched >= golden_writes.size() ||
-            !writes[matched].same_payload(golden_writes[matched])) {
-          // A wrong or extra write can never heal: the run is a failure no
-          // matter what it would do next. Abandon the simulation (early
-          // stop) or at least stop comparing (convergence is off the
-          // table).
-          write_mismatch = true;
-          if (b_.opts_.early_stop) definite_divergence = true;
-        } else {
-          ++matched;
-        }
-      }
-    }
-    if (converge && !write_mismatch && halt == iss::HaltReason::kRunning &&
+    monitor.stepped(core_.offcore());
+    if (converge && !monitor.mismatch() && halt == iss::HaltReason::kRunning &&
         core_.instret() >= next_instret) {
       const u64 instret = core_.instret();
       while (next_instret < instret) next_instret = instret_of(++next_rung);
       for (std::size_t k = next_rung; instret_of(k) == instret; ++k) {
-        if (!rungs[k].snap->matches(core_)) continue;
+        if (!matches(*rungs[k].snap, core_)) continue;
         // The golden run halts golden_cycles_ - c_r cycles after the rung.
         // Shifted, that halt must still fall within the watchdog; if not,
         // the run is a hang whose record (shifted write timestamps
         // included) only the simulation gives, and no later rung can match
         // at another shift, so the probe retires for this site.
         const u64 c_r = rungs[k].instant;
-        if (core_.cycles() + (b_.golden_cycles_ - c_r) <= b_.watchdog_) {
-          b_.convergence_cutoffs_.fetch_add(1, std::memory_order_relaxed);
+        if (core_.cycles() + (b_.golden_cycles_ - c_r) <= b_.golden_.watchdog) {
+          bump(b_.golden_.tally.convergence_cutoffs);
           if (core_.cycles() != c_r) {
-            b_.shifted_cutoffs_.fetch_add(1, std::memory_order_relaxed);
+            bump(b_.golden_.tally.shifted_cutoffs);
           }
           fault::InjectionResult result;
           result.site = site;
@@ -474,16 +354,14 @@ fault::InjectionResult RtlCampaignBackend::Worker::run_site(
       }
     }
   }
-  if (halt == iss::HaltReason::kRunning && !definite_divergence) {
-    halt = iss::HaltReason::kStepLimit;  // watchdog expired
-  }
+  halt = monitor.final_halt(halt);
 
   fault::InjectionResult result;
   result.site = site;
   result.halt = halt;  // node_name/unit are resolved once, in finish()
 
   const TraceDivergence div =
-      core_.offcore().compare_writes(b_.golden_trace_);
+      core_.offcore().compare_writes(b_.golden_.trace);
   if (div.diverged) {
     result.outcome = halt == iss::HaltReason::kStepLimit &&
                              div.index >= core_.offcore().writes().size()
@@ -493,8 +371,8 @@ fault::InjectionResult RtlCampaignBackend::Worker::run_site(
         div.cycle > site.inject_cycle ? div.cycle - site.inject_cycle : 0;
   } else if (halt == iss::HaltReason::kStepLimit) {
     result.outcome = fault::Outcome::kHang;
-    result.latency_cycles = b_.watchdog_ - site.inject_cycle;
-  } else if (states_match(core_, b_.golden_state_, b_.golden_mem_,
+    result.latency_cycles = b_.golden_.watchdog - site.inject_cycle;
+  } else if (states_match(core_, b_.golden_state_, b_.golden_.mem,
                           b_.cfg_.compare_memory)) {
     result.outcome = fault::Outcome::kSilent;
   } else {
@@ -509,33 +387,7 @@ fault::CampaignResult RtlCampaignBackend::finish(EngineRun<Record> run) const {
   result.unit_prefix = cfg_.unit_prefix;
   result.golden_cycles = golden_cycles_;
   result.golden_instret = golden_instret_;
-  result.replay.ladder_rungs = ladder_.rung_count();
-  result.replay.ladder_bytes = ladder_.total_bytes();
-  result.replay.ladder_evicted = ladder_.evicted_count();
-  result.replay.ladder_restores = ladder_restores_.load();
-  result.replay.rolling_restores = rolling_restores_.load();
-  result.replay.cold_resets = cold_resets_.load();
-  result.replay.fast_forward_cycles = fast_forward_cycles_.load();
-  result.replay.convergence_cutoffs = convergence_cutoffs_.load();
-  result.replay.shifted_cutoffs = shifted_cutoffs_.load();
-  result.replay.activation_candidates = activation_candidates_;
-  result.replay.activation_silent = activation_silent_.load();
-  result.replay.activation_port_read = activation_port_read_.load();
-  result.replay.activation_scan_cycles = activation_scan_cycles_;
-  result.replay.journal_hits = run.journal_hits;
-  result.replay.journal_dropped = run.journal_dropped;
-  result.replay.sites_retried = run.sites_retried;
-  result.replay.sites_engine_error = run.engine_errors;
-  result.truncated = run.truncated;
-  result.completed_sites = run.completed;
-  result.total_sites = run.records.size();
-  // Completed records only, kept in site order (an early stop leaves holes
-  // in the site-indexed array; every record that is present is
-  // bit-identical to the uninterrupted run's).
-  result.runs.reserve(run.completed);
-  for (std::size_t i = 0; i < run.records.size(); ++i) {
-    if (run.done[i] != 0) result.runs.push_back(std::move(run.records[i]));
-  }
+  collect(result, run, golden_);
   for (fault::InjectionResult& r : result.runs) {
     r.node_name = node_names_[r.site.node];
     r.unit = node_units_[r.site.node];

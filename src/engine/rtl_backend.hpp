@@ -1,12 +1,11 @@
 // RTL fault backend for CampaignEngine: enumerate sites with
 // fault::build_fault_list, record a checkpoint ladder while running the
 // golden reference, then run each faulty suffix from the nearest snapshot
-// and classify against the golden run — the §4.1 methodology, minus both
-// the per-fault golden-prefix re-simulation the serial driver paid and the
-// per-worker prefix re-simulation the PR 1 rolling checkpoint still paid.
+// and classify against the golden run — the §4.1 methodology without the
+// per-fault golden-prefix re-simulation of the serial driver. The golden
+// replay (ladder, positioning, write monitor, tally) is engine/golden.hpp.
 #pragma once
 
-#include <atomic>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -14,8 +13,8 @@
 #include <vector>
 
 #include "engine/engine.hpp"
+#include "engine/golden.hpp"
 #include "engine/journal.hpp"
-#include "engine/ladder.hpp"
 #include "fault/campaign.hpp"
 #include "iss/state.hpp"
 
@@ -25,23 +24,8 @@ class RtlCampaignBackend {
  public:
   using Record = fault::InjectionResult;
 
-  /// One ladder rung: the golden core at a cycle boundary. `core` is a
-  /// checkpoint_lite() snapshot (no trace copy); `mem` a COW clone of the
-  /// golden memory; `writes`/`reads` the golden bus-trace prefix lengths at
-  /// that cycle, from which restores rebuild the trace.
-  struct GoldenSnapshot {
-    rtlcore::CoreCheckpoint core;
-    Memory mem;
-    std::size_t writes = 0;
-    std::size_t reads = 0;
-
-    /// Whether core `c` holds this rung's state, at whatever cycle: a cheap
-    /// scalar gate (instret, slot/fetch/redirect/annul sequence numbers,
-    /// bus-write count), then the node array and memory. Bus reads are
-    /// diagnostics, not state the core evolves from, and are not compared;
-    /// the write payloads are the caller's to match.
-    bool matches(const rtlcore::Leon3Core& c) const;
-  };
+  /// One ladder rung: the golden core at a cycle boundary.
+  using GoldenSnapshot = SnapshotOf<rtlcore::Leon3Core>;
 
   /// Runs the golden reference (recording ladder rungs every
   /// opts.ladder_stride cycles) and enumerates the fault list (both
@@ -60,7 +44,7 @@ class RtlCampaignBackend {
     return sites_;
   }
   const CheckpointLadder<GoldenSnapshot>& ladder() const noexcept {
-    return ladder_;
+    return golden_.ladder;
   }
 
   /// Campaign identity for the write-ahead journal: an FNV-1a fingerprint
@@ -90,9 +74,7 @@ class RtlCampaignBackend {
   /// bridge faults.
   bool never_activated(std::size_t i) const;
 
-  /// One per worker thread: owns a core + memory and a rolling golden-prefix
-  /// checkpoint; restores whichever of {rolling checkpoint, ladder rung} is
-  /// closest below each injection instant.
+  /// One per worker thread: owns a core + memory and its Positioner.
   class Worker {
    public:
     Worker(const RtlCampaignBackend& backend, unsigned shard);
@@ -106,23 +88,10 @@ class RtlCampaignBackend {
     Record run_site(std::size_t index);
 
    private:
-    /// Position core_ (fault-free) exactly at `inject_cycle`: from the
-    /// rolling shard checkpoint or the best ladder rung — whichever is not
-    /// ahead of us and closer — or from reset when neither exists.
-    void prepare(u64 inject_cycle);
-
     const RtlCampaignBackend& b_;
     Memory mem_;
     rtlcore::Leon3Core core_;
-    // Rolling checkpoint: a checkpoint_lite() plus golden-trace prefix
-    // lengths — it is only ever taken on fault-free prefixes, whose bus
-    // trace is by construction a prefix of the golden trace, so the
-    // O(instant) trace copy is skipped exactly like for ladder rungs.
-    bool have_checkpoint_ = false;
-    rtlcore::CoreCheckpoint checkpoint_;
-    Memory checkpoint_mem_;
-    std::size_t checkpoint_writes_ = 0;
-    std::size_t checkpoint_reads_ = 0;
+    Positioner<rtlcore::Leon3Core> pos_;
     // Scratch buffer for the hang fast-forward fixed-point probe.
     std::vector<u32> probe_nodes_;
     std::map<std::size_t, unsigned> fail_attempts_;  ///< ISSRTL_FAIL_SITE
@@ -154,12 +123,8 @@ class RtlCampaignBackend {
 
   u64 golden_cycles_ = 0;
   u64 golden_instret_ = 0;
-  u64 watchdog_ = 0;
-  OffCoreTrace golden_trace_;
+  GoldenRun<rtlcore::Leon3Core> golden_;
   iss::ArchState golden_state_;
-  Memory initial_mem_;  ///< loaded program image, COW ancestor of all runs
-  Memory golden_mem_;
-  CheckpointLadder<GoldenSnapshot> ladder_;
   std::vector<fault::FaultSite> sites_;
   FailSiteSpec fail_spec_;  ///< parsed from opts_.fail_sites (test hook)
   // Node metadata snapshot (NodeId-indexed) for labelling results in
@@ -167,22 +132,18 @@ class RtlCampaignBackend {
   std::vector<std::string> node_names_;
   std::vector<std::string> node_units_;
   std::vector<u8> node_port_read_;  ///< rtl::SimContext::port_read per node
-  // Replay economics, accumulated relaxed by the workers (informational
-  // only — see fault::ReplayCounters).
-  mutable std::atomic<u64> ladder_restores_{0};
-  mutable std::atomic<u64> rolling_restores_{0};
-  mutable std::atomic<u64> cold_resets_{0};
-  mutable std::atomic<u64> fast_forward_cycles_{0};
-  mutable std::atomic<u64> convergence_cutoffs_{0};
-  mutable std::atomic<u64> shifted_cutoffs_{0};
-  mutable std::atomic<u64> activation_silent_{0};
-  mutable std::atomic<u64> activation_port_read_{0};
   // Activation oracle table, built once by the first permanent site.
   mutable std::once_flag activation_once_;
   mutable std::vector<u8> never_activated_;  ///< site-indexed
-  mutable u64 activation_candidates_ = 0;
-  mutable u64 activation_scan_cycles_ = 0;
 };
+
+/// Whether core `c` holds rung `g`'s state, at whatever cycle: a cheap
+/// scalar gate (instret, slot/fetch/redirect/annul sequence numbers,
+/// bus-write count), then the node array and memory. Bus reads are
+/// diagnostics, not state the core evolves from, and are not compared; the
+/// write payloads are the caller's to match.
+bool matches(const RtlCampaignBackend::GoldenSnapshot& g,
+             const rtlcore::Leon3Core& c);
 
 /// Full engine-backed RTL campaign. fault::run_campaign is the serial thin
 /// wrapper over this; examples and benches pass threads/options directly.

@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+
+#include "fault/campaign.hpp"
 
 namespace issrtl::fault {
 
@@ -71,6 +74,42 @@ std::ostream& operator<<(std::ostream& os, const TextTable& t) {
 std::string pf_with_ci(double pf, const PfInterval& ci) {
   return TextTable::pct(pf) + " [" + TextTable::pct(ci.lo) + ", " +
          TextTable::pct(ci.hi) + "]";
+}
+
+void print_replay(const ReplayCounters& rc, const char* instants) {
+  std::printf("replay: ladder %llu rungs (%.1f KiB, %llu evicted), restores "
+              "%llu ladder / %llu rolling / %llu cold, fast-forward %llu "
+              "%s, %llu convergence cutoffs (%llu shifted), activation "
+              "oracle %llu "
+              "candidates / %llu silent (%llu port-read) / %llu latent / "
+              "%llu scan %s\n",
+              (unsigned long long)rc.ladder_rungs,
+              rc.ladder_bytes / 1024.0,
+              (unsigned long long)rc.ladder_evicted,
+              (unsigned long long)rc.ladder_restores,
+              (unsigned long long)rc.rolling_restores,
+              (unsigned long long)rc.cold_resets,
+              (unsigned long long)rc.fast_forward_cycles, instants,
+              (unsigned long long)rc.convergence_cutoffs,
+              (unsigned long long)rc.shifted_cutoffs,
+              (unsigned long long)rc.activation_candidates,
+              (unsigned long long)rc.activation_silent,
+              (unsigned long long)rc.activation_port_read,
+              (unsigned long long)rc.activation_latent,
+              (unsigned long long)rc.activation_scan_cycles, instants);
+}
+
+void print_durability(const ReplayCounters& rc) {
+  if (rc.journal_hits == 0 && rc.journal_dropped == 0 &&
+      rc.sites_retried == 0 && rc.sites_engine_error == 0) {
+    return;
+  }
+  std::printf("durability: %llu journal hits (%llu dropped), "
+              "%llu sites retried, %llu engine errors\n",
+              (unsigned long long)rc.journal_hits,
+              (unsigned long long)rc.journal_dropped,
+              (unsigned long long)rc.sites_retried,
+              (unsigned long long)rc.sites_engine_error);
 }
 
 }  // namespace issrtl::fault

@@ -35,4 +35,14 @@ std::ostream& operator<<(std::ostream& os, const TextTable& t);
 /// A Pf with its interval, e.g. "8.3% [3.6%, 18.1%]" (one decimal).
 std::string pf_with_ci(double pf, const PfInterval& ci);
 
+struct ReplayCounters;
+
+/// Print a campaign's replay-economics line to stdout ("replay: ladder …");
+/// `instants` names the backend's time unit ("cycles", "instructions").
+void print_replay(const ReplayCounters& rc, const char* instants);
+
+/// Print the durability line to stdout, only when something happened: a
+/// journal hit or drop, a retried site or an engine error.
+void print_durability(const ReplayCounters& rc);
+
 }  // namespace issrtl::fault

@@ -19,14 +19,19 @@ std::string operand2(const DecodedInst& d) {
 }
 
 std::string addr_expr(const DecodedInst& d) {
-  std::string s = "[" + reg_name(d.rs1);
+  std::string s = "[";
+  s += reg_name(d.rs1);
   if (d.uses_imm) {
-    if (d.simm13 != 0) s += (d.simm13 > 0 ? " + " : " - ") +
-                            std::to_string(d.simm13 > 0 ? d.simm13 : -d.simm13);
+    if (d.simm13 != 0) {
+      s += d.simm13 > 0 ? " + " : " - ";
+      s += std::to_string(d.simm13 > 0 ? d.simm13 : -d.simm13);
+    }
   } else if (d.rs2 != 0) {
-    s += " + " + reg_name(d.rs2);
+    s += " + ";
+    s += reg_name(d.rs2);
   }
-  return s + "]";
+  s += ']';
+  return s;
 }
 
 }  // namespace

@@ -799,20 +799,20 @@ TEST(ConvergenceCutoff, RungPredicateComparesEveryComponent) {
   rtlcore::Leon3Core core(mem);
   core.reset(prog.entry);
   while (core.cycles() < rung.instant) core.step();
-  EXPECT_TRUE(g.matches(core));
+  EXPECT_TRUE(matches(g, core));
   const rtlcore::CoreCheckpoint ck = core.checkpoint();
 
   const u32 word = mem.load_u32(prog.code_base);
   mem.store_u32(prog.code_base, word ^ 1u);
-  EXPECT_FALSE(g.matches(core)) << "memory word";
+  EXPECT_FALSE(matches(g, core)) << "memory word";
   mem.store_u32(prog.code_base, word);
-  EXPECT_TRUE(g.matches(core));
+  EXPECT_TRUE(matches(g, core));
 
   const auto expect_rejected = [&](const char* what, auto&& perturb) {
     rtlcore::CoreCheckpoint bad = ck;
     perturb(bad);
     core.restore(bad);
-    EXPECT_FALSE(g.matches(core)) << what;
+    EXPECT_FALSE(matches(g, core)) << what;
   };
   expect_rejected("slot seq", [](auto& c) { ++c.slot_seq[2]; });
   expect_rejected("next fetch seq", [](auto& c) { ++c.next_fetch_seq; });
@@ -821,7 +821,7 @@ TEST(ConvergenceCutoff, RungPredicateComparesEveryComponent) {
   expect_rejected("node value", [](auto& c) { c.node_values[0] ^= 1u; });
   expect_rejected("bus writes", [](auto& c) { c.offcore = OffCoreTrace{}; });
   core.restore(ck);
-  EXPECT_TRUE(g.matches(core));
+  EXPECT_TRUE(matches(g, core));
 }
 
 // ---- checkpoint correctness -------------------------------------------------
@@ -1207,27 +1207,67 @@ TEST(Engine, ParseFailSitesRejectsStageTags) {
   }
 }
 
-TEST(Engine, AccumulatorMergeMatchesSequential) {
-  OutcomeAccumulator all;
-  OutcomeAccumulator a, b;
-  all.add(fault::Outcome::kFailure, 10);
-  all.add(fault::Outcome::kHang, 0);
-  all.add(fault::Outcome::kFailure, 30);
-  all.add(fault::Outcome::kSilent, 0);
-  a.add(fault::Outcome::kFailure, 10);
-  a.add(fault::Outcome::kHang, 0);
-  b.add(fault::Outcome::kFailure, 30);
-  b.add(fault::Outcome::kSilent, 0);
-  a.merge(b);
-  EXPECT_EQ(a.runs, all.runs);
-  EXPECT_EQ(a.failures, all.failures);
-  EXPECT_EQ(a.hangs, all.hangs);
-  EXPECT_EQ(a.max_latency, all.max_latency);
-  EXPECT_DOUBLE_EQ(a.mean_latency(), all.mean_latency());
-  const fault::CampaignStats s = a.to_stats(FaultModel::kStuckAt1);
+TEST(Engine, AccumulatorCountsAndPackagesStats) {
+  OutcomeAccumulator acc;
+  acc.add(fault::Outcome::kFailure, 10);
+  acc.add(fault::Outcome::kHang, 0);
+  acc.add(fault::Outcome::kFailure, 30);
+  acc.add(fault::Outcome::kSilent, 0);
+  EXPECT_EQ(acc.runs, 4u);
+  EXPECT_EQ(acc.max_latency, 30u);
+  EXPECT_DOUBLE_EQ(acc.mean_latency(), 20.0);
+  const fault::CampaignStats s = acc.to_stats(FaultModel::kStuckAt1);
   EXPECT_EQ(s.failures, 2u);
   EXPECT_EQ(s.hangs, 1u);
+  EXPECT_EQ(s.silent, 1u);
   EXPECT_DOUBLE_EQ(s.pf(), 3.0 / 4.0);
+}
+
+// ---- replay economics -------------------------------------------------------
+
+// The replay counters a positioning change moves, in one comparable row.
+std::vector<u64> replay_row(const fault::ReplayCounters& rc) {
+  return {rc.ladder_rungs,          rc.ladder_bytes,
+          rc.ladder_evicted,        rc.ladder_restores,
+          rc.rolling_restores,      rc.cold_resets,
+          rc.fast_forward_cycles,   rc.convergence_cutoffs,
+          rc.shifted_cutoffs,       rc.activation_candidates,
+          rc.activation_silent,     rc.activation_port_read,
+          rc.activation_latent,     rc.activation_scan_cycles};
+}
+
+// At one thread, where each site resumes its prefix (ladder rung, rolling
+// checkpoint or cold reset), how far it fast-forwards, where a transient is
+// cut off and which sites an oracle decides are a function of the campaign
+// alone. The records cannot show a change in these choices, which only cost
+// or save time, so they are pinned here for an RTL transient campaign, an
+// RTL permanent campaign without a ladder and an ISS campaign.
+TEST(Replay, SerialRestoreChoicesPinned) {
+  const auto prog = workloads::build("rspeed", {.iterations = 1,
+                                                .data_seed = 1});
+  const EngineOptions opts;
+  EXPECT_EQ(replay_row(run_rtl_campaign(prog, shifted_cutoff_cfg(), {}, opts)
+                           .replay),
+            (std::vector<u64>{527, 2419984, 1025, 374, 275, 1, 57663, 570, 12,
+                              0, 0, 0, 0, 0}));
+
+  CampaignConfig stuck;
+  stuck.unit_prefix = "iu";
+  stuck.samples = 40;
+  stuck.models = {FaultModel::kStuckAt1};
+  stuck.inject_time = fault::InjectTime::kUniformRandom;
+  EngineOptions no_ladder = opts;
+  no_ladder.ladder_stride = 0;
+  EXPECT_EQ(replay_row(run_rtl_campaign(prog, stuck, {}, no_ladder).replay),
+            (std::vector<u64>{0, 0, 0, 0, 15, 1, 64958, 0, 0, 40, 24, 24, 0,
+                              134966}));
+
+  IssCampaignConfig iss;
+  iss.samples = 60;
+  iss.models = {iss::IssFaultModel::kBitFlip, iss::IssFaultModel::kStuckAt1};
+  EXPECT_EQ(replay_row(run_iss_campaign_engine(prog, iss, opts).replay),
+            (std::vector<u64>{643, 967072, 0, 18, 1, 0, 648, 1, 0, 120, 16, 0,
+                              85, 40989}));
 }
 
 }  // namespace

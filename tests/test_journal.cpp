@@ -270,7 +270,9 @@ TEST(JournalResume, KillPointsTimesThreads) {
       EXPECT_FALSE(r.truncated);
       EXPECT_EQ(r.completed_sites, 24u);
       EXPECT_EQ(r.replay.journal_hits, cut.records);
-      if (cut.torn) EXPECT_GE(r.replay.journal_dropped, 1u);
+      if (cut.torn) {
+        EXPECT_GE(r.replay.journal_dropped, 1u);
+      }
       // The resumed run's journal is complete again: a second resume
       // imports everything.
       const CampaignResult again =
@@ -593,7 +595,9 @@ TEST(IssJournal, KillPointsTimesThreads) {
       }
       EXPECT_FALSE(r.truncated);
       EXPECT_EQ(r.replay.journal_hits, cut.records);
-      if (cut.torn) EXPECT_GE(r.replay.journal_dropped, 1u);
+      if (cut.torn) {
+        EXPECT_GE(r.replay.journal_dropped, 1u);
+      }
       ASSERT_EQ(r.per_model.size(), ref.per_model.size());
       for (std::size_t m = 0; m < r.per_model.size(); ++m) {
         EXPECT_EQ(r.per_model[m].failures, ref.per_model[m].failures);

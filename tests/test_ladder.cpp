@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <type_traits>
+#include <vector>
 
 #include "engine/iss_backend.hpp"
 #include "engine/ladder.hpp"
@@ -243,47 +246,80 @@ TEST(Ladder, IssCampaignLadderInvariant) {
 }
 
 
-// The ISS backend walks its golden run with the block-walk fast loop
-// between stride-grid points; its rungs must be exactly those a
-// step-per-instruction walk records: same instants (auto-stride thinning
-// included) and the same state at each.
-TEST(Ladder, IssGoldenPassRungsMatchPerStepWalk) {
+// Both backends walk their golden run to each point of the stride grid
+// (the ISS with the block-walk fast loop) and record rungs there; the rungs
+// must be exactly those a per-step walk records: same instants (auto-stride
+// thinning included) and the same state at each — the architectural state
+// for the ISS, every node value for the RTL core.
+TEST(Ladder, GoldenPassRungsMatchPerStepWalk) {
   const auto prog = workloads::build("rspeed", {.iterations = 1,
                                                 .data_seed = 1});
-  fault::IssCampaignConfig cfg;
-  cfg.samples = 1;
+  // Per-step reference ladder of `state(sim)` over a fresh run of `sim`.
+  const auto walk = [&](auto& sim, u64 stride, auto&& state) {
+    using State = std::decay_t<decltype(state(sim))>;
+    CheckpointLadder<State> ref(initial_ladder_stride(stride),
+                                EngineOptions{}.ladder_max_bytes,
+                                ladder_rung_limit(stride));
+    sim.reset(prog.entry);
+    while (sim.halt_reason() == iss::HaltReason::kRunning) {
+      if (ref.wants(instant(sim))) {
+        ref.record(instant(sim), std::make_shared<State>(state(sim)), 1);
+      }
+      sim.step();
+    }
+    return ref;
+  };
+  const auto expect_same = [](const auto& got, const auto& ref,
+                              auto&& same_state) {
+    ASSERT_EQ(got.rungs().size(), ref.rungs().size());
+    EXPECT_GT(got.rungs().size(), 1u);
+    for (std::size_t k = 0; k < got.rungs().size(); ++k) {
+      const auto& g = got.rungs()[k];
+      EXPECT_EQ(g.instant, ref.rungs()[k].instant) << k;
+      EXPECT_EQ(instant(g.snap->ckpt), g.instant) << k;
+      EXPECT_TRUE(same_state(g.snap->ckpt, *ref.rungs()[k].snap)) << k;
+    }
+    EXPECT_EQ(got.stride(), ref.stride());
+  };
   for (const u64 stride : {kLadderStrideAuto, u64{977}, u64{7}}) {
+    EngineOptions opts;
+    opts.ladder_stride = stride;
+    {
+      SCOPED_TRACE("RTL, stride " + std::to_string(stride));
+      fault::CampaignConfig cfg;
+      cfg.samples = 1;
+      const RtlCampaignBackend backend(prog, cfg, {}, opts);
+      Memory mem;
+      prog.load_into(mem);
+      rtlcore::Leon3Core core(mem);
+      const auto ref = walk(core, stride, [](const rtlcore::Leon3Core& c) {
+        std::vector<u32> nodes;
+        c.save_node_values(nodes);
+        return nodes;
+      });
+      expect_same(backend.ladder(), ref,
+                  [](const rtlcore::CoreCheckpoint& ck,
+                     const std::vector<u32>& nodes) {
+                    return ck.node_values == nodes;
+                  });
+    }
     for (const bool fast : {true, false}) {
-      SCOPED_TRACE("stride " + std::to_string(stride) + ", fast path " +
+      SCOPED_TRACE("ISS, stride " + std::to_string(stride) + ", fast path " +
                    std::to_string(fast));
-      EngineOptions opts;
-      opts.ladder_stride = stride;
+      fault::IssCampaignConfig cfg;
+      cfg.samples = 1;
       opts.iss_fast_path = fast;
       const IssCampaignBackend backend(prog, cfg, opts);
-
-      CheckpointLadder<iss::ArchState> ref(initial_ladder_stride(stride),
-                                           opts.ladder_max_bytes,
-                                           ladder_rung_limit(stride));
       Memory mem;
+      prog.load_into(mem);
       iss::Emulator e(mem);
-      e.load(prog);
-      while (e.halt_reason() == iss::HaltReason::kRunning) {
-        if (ref.wants(e.instret())) {
-          ref.record(e.instret(),
-                     std::make_shared<iss::ArchState>(e.state()), 1);
-        }
-        e.step();
-      }
-
-      const auto& got = backend.ladder().rungs();
-      ASSERT_EQ(got.size(), ref.rungs().size());
-      EXPECT_GT(got.size(), 1u);
-      for (std::size_t k = 0; k < got.size(); ++k) {
-        EXPECT_EQ(got[k].instant, ref.rungs()[k].instant) << k;
-        EXPECT_EQ(got[k].snap->emu.instret, got[k].instant) << k;
-        EXPECT_EQ(got[k].snap->emu.state, *ref.rungs()[k].snap) << k;
-      }
-      EXPECT_EQ(backend.ladder().stride(), ref.stride());
+      const auto ref = walk(e, stride, [](const iss::Emulator& emu) {
+        return emu.state();
+      });
+      expect_same(backend.ladder(), ref,
+                  [](const iss::EmuCheckpoint& ck, const iss::ArchState& st) {
+                    return ck.state == st;
+                  });
     }
   }
 }
